@@ -9,7 +9,11 @@ test:
 	$(GO) test ./...
 
 # race is the SMP gate: the packages that share kernel state across
-# goroutines must be clean under the race detector.
+# goroutines — the worker pool, the kernel's sharded structures, the
+# fleet API, the parallel fault campaign, the sweeps, the cluster and
+# durable control plane, and paging — must be clean under the race
+# detector. This is the only copy of the package list; check.sh runs
+# this target.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/kernel/... ./internal/core/... \
 		./internal/fault/... ./internal/bench/... ./internal/net/... ./internal/workload/... \
@@ -19,46 +23,33 @@ bench:
 	$(GO) test -run '^$$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn' \
 		-benchtime 2x ./internal/kernel
 
-# smp regenerates BENCH_smp.json (the 1/2/4/8-worker throughput sweep).
-# The script refuses to overwrite a dirty BENCH_smp.json unless FORCE=1.
-smp:
-	sh scripts/smp.sh
-
-# ckpt regenerates BENCH_ckpt.json (the crash-recovery cadence sweep).
-# The script refuses to overwrite a dirty BENCH_ckpt.json unless FORCE=1.
-ckpt:
-	sh scripts/ckpt.sh
-
-# fault runs the deterministic fault-injection campaign and emits the
-# machine-readable matrix (same seed -> byte-identical JSON).
+# fault runs the deterministic fault-injection campaign — every scenario
+# of the registry in internal/fault, on the kernel, checkpoint, cluster
+# and durable control-plane layers — and emits the machine-readable
+# matrix (same seed -> byte-identical JSON). ascfault -classes selects
+# scenarios by name.
 fault:
 	$(GO) run ./cmd/ascfault -seed 1 -trials 3 -workers 4 -json BENCH_fault.json
 
-# net regenerates BENCH_net.json (the network fleet sweep: clients x
-# workers under enforcement off/on/cached). The script refuses to
-# overwrite a dirty BENCH_net.json unless FORCE=1.
-net:
-	sh scripts/net.sh
-
-# batch regenerates BENCH_batch.json (the group-commit sweep: burst
-# size x cache mode on an 8-process getpid fleet). The script refuses
-# to overwrite a dirty BENCH_batch.json unless FORCE=1.
-batch:
-	sh scripts/batch.sh
-
-# cluster regenerates BENCH_cluster.json (the multi-node failover sweep:
-# cluster width x heartbeat cadence with node 1 crashed mid-run, plus
-# the director-takeover arm on the durable control plane). The script
-# refuses to overwrite a dirty BENCH_cluster.json unless FORCE=1.
-cluster:
-	sh scripts/cluster.sh
-
-# mem regenerates BENCH_mem.json (the paged-memory working-set sweep:
-# resident budget x working set with the authenticated swap device off,
-# enforced, and enforced+cached). The script refuses to overwrite a
-# dirty BENCH_mem.json unless FORCE=1.
-mem:
-	sh scripts/mem.sh
+# The six sweep targets regenerate BENCH_<target>.json through
+# scripts/regen.sh, which refuses to overwrite a dirty artifact unless
+# FORCE=1:
+#   smp      the 1/2/4/8-worker throughput sweep (8 verified processes
+#            per Table-4 workload, modeled makespan);
+#   ckpt     the crash-recovery cadence sweep;
+#   net      the network fleet sweep: clients x workers under
+#            enforcement off/on/cached;
+#   batch    the group-commit sweep: burst size x cache mode on an
+#            8-process getpid fleet (fails unless cost per call falls
+#            strictly as the burst grows);
+#   cluster  the multi-node failover sweep: cluster width x heartbeat
+#            cadence with node 1 crashed mid-run, plus the
+#            director-takeover arm on the durable control plane;
+#   mem      the paged-memory working-set sweep: resident budget x
+#            working set with the authenticated swap device off,
+#            enforced, and enforced+cached.
+smp ckpt net batch cluster mem:
+	sh scripts/regen.sh $@
 
 # check is the full gate: gofmt, vet, build, tier-1 tests, the SMP race
 # gate, the fuzz smokes, the kernel benchmarks, the fault campaign, the

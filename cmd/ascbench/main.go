@@ -1,7 +1,7 @@
 // ascbench regenerates the paper's evaluation tables.
 //
 // Usage: ascbench [-table 1|2|3|4|6|andrew|compare|smp|ckpt|net|batch|cluster|mem|all]
-// [-scale N] [-procs N] [-json FILE] [-guard RATIO]
+// [-scale N] [-json FILE] [-guard RATIO]
 // [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -json FILE, the Table 4 microbenchmark rows (plain, verified, and
@@ -420,11 +420,14 @@ func checkGuard(t4 *bench.Table4Data, ratio float64) error {
 	return fmt.Errorf("guard: no getpid row in Table 4")
 }
 
+// smpProcs is how many verified processes the SMP sweep runs per
+// Table-4 workload.
+const smpProcs = 8
+
 func main() {
 	table := flag.String("table", "all", "which artifact to regenerate: 1, 2, 3, 4, 6, andrew, compare, smp, ckpt, net, batch, cluster, mem, all")
 	scale := flag.Int("scale", 1, "divide macro-benchmark iteration counts by N (faster, less precise)")
 	jsonPath := flag.String("json", "", "write the Table 4 (or -table smp) benchmark summary to FILE as JSON")
-	procs := flag.Int("procs", 8, "SMP sweep: processes per fleet")
 	guard := flag.Float64("guard", 0, "fail if Table 4 cached getpid exceeds this ratio of plain (0 = off)")
 	netguard := flag.Float64("netguard", 0, "fail if the sharded fleet's 4-worker efficiency falls below this percentage (0 = off)")
 	takeoverguard := flag.Bool("takeoverguard", false, "fail if a director crash with a warm standby cold-starts any process")
@@ -527,7 +530,7 @@ func main() {
 		return bench.EnforcementComparison(bench.DefaultKey)
 	})
 	run("smp", func() (interface{ Render() string }, error) {
-		data, err := bench.SMP(bench.DefaultKey, *procs, 200)
+		data, err := bench.SMP(bench.DefaultKey, smpProcs, 200)
 		if err != nil {
 			return nil, err
 		}

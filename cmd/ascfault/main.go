@@ -1,23 +1,24 @@
 // ascfault runs the deterministic fault-injection campaign against the
-// simulated platform: N seeded trials per fault class per victim
-// workload, each executed under Kill and Deny enforcement with the
-// verify cache off and on. It prints an aligned result matrix, optionally
-// writes the byte-stable JSON form (same seed → identical bytes), and
-// exits nonzero if any trial violated the detection contract.
+// simulated platform: N seeded trials of every fault scenario against
+// every eligible victim workload, each executed under Kill and Deny
+// enforcement. Kernel-layer scenarios also run across four kernel arms
+// (no cache, per-process cache, fleet-shared cache with group-commit
+// batching, and paged memory); the checkpoint, cluster and durable
+// control-plane scenarios tamper with sealed checkpoints during
+// supervised warm restarts, attack a 3-node fleet (node crashes, torn
+// migrations, envelope replay and spoof, heartbeat delays), and attack
+// the director's WAL, persistent store and takeover. It prints an
+// aligned result matrix, optionally writes the byte-stable JSON form
+// (same seed → identical bytes), and exits nonzero if any trial
+// violated the contract.
 //
 // Usage: ascfault [-seed N] [-trials N] [-classes a,b,...] [-cycles N]
 //
-//	[-workers N] [-ckpt=false] [-json file] [-q]
+//	[-workers N] [-json file] [-q]
 //
-// -workers runs (class, victim) cells concurrently; the matrix is
-// byte-identical at any worker count. The campaign also tampers with
-// sealed checkpoints (torn write, bit flip, stale replay, wrong
-// process) during supervised warm restarts, attacks the cluster
-// surface (node crashes, torn migrations, envelope replay and spoof,
-// heartbeat delays), and attacks the durable control plane (torn WAL
-// tails, WAL record flips, stale-log replay, stale store epochs,
-// director crashes mid-migration); -ckpt=false, -cluster=false, and
-// -durable=false skip those cells.
+// -classes selects any scenarios by name, on any layer. -workers runs
+// (scenario, victim) cells concurrently; the matrix is byte-identical
+// at any worker count.
 package main
 
 import (
@@ -31,35 +32,33 @@ import (
 
 func main() {
 	seed := flag.Uint64("seed", 1, "campaign seed (same seed → identical JSON)")
-	trials := flag.Int("trials", 4, "trials per (class, victim) pair")
-	classesFlag := flag.String("classes", "", "comma-separated fault classes (default: all)")
+	trials := flag.Int("trials", 4, "trials per (scenario, victim) pair")
+	classesFlag := flag.String("classes", "", "comma-separated fault scenarios (default: all)")
 	cycles := flag.Uint64("cycles", 0, "per-run cycle budget (default 4,000,000)")
-	workers := flag.Int("workers", 1, "run (class, victim) cells on N workers (matrix is identical at any width)")
-	ckptCells := flag.Bool("ckpt", true, "include the checkpoint-tampering cells")
-	clusterCells := flag.Bool("cluster", true, "include the cluster fault cells")
-	durableCells := flag.Bool("durable", true, "include the durable control-plane fault cells")
+	workers := flag.Int("workers", 1, "run (scenario, victim) cells on N workers (matrix is identical at any width)")
 	jsonPath := flag.String("json", "", "write the JSON matrix to this file")
 	quiet := flag.Bool("q", false, "suppress the result table")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: ascfault [-seed N] [-trials N] [-classes a,b,...] [-cycles N] [-workers N] [-ckpt=false] [-cluster=false] [-durable=false] [-json file] [-q]")
+		fmt.Fprintln(os.Stderr, "usage: ascfault [-seed N] [-trials N] [-classes a,b,...] [-cycles N] [-workers N] [-json file] [-q]")
 		os.Exit(2)
 	}
 
-	cfg := fault.Config{Seed: *seed, Trials: *trials, MaxCycles: *cycles, Workers: *workers,
-		SkipCkpt: !*ckptCells, SkipCluster: !*clusterCells, SkipDurable: !*durableCells}
+	cfg := fault.Config{Seed: *seed, Trials: *trials, MaxCycles: *cycles, Workers: *workers}
 	if *classesFlag != "" {
-		known := make(map[string]bool)
-		for _, c := range fault.Classes() {
-			known[string(c)] = true
+		known := map[fault.Class]bool{}
+		var names []string
+		for _, sc := range fault.Scenarios() {
+			known[sc.Name] = true
+			names = append(names, string(sc.Name))
 		}
 		for _, s := range strings.Split(*classesFlag, ",") {
-			s = strings.TrimSpace(s)
-			if !known[s] {
-				fmt.Fprintf(os.Stderr, "ascfault: unknown fault class %q (known: %v)\n", s, fault.Classes())
+			c := fault.Class(strings.TrimSpace(s))
+			if !known[c] {
+				fmt.Fprintf(os.Stderr, "ascfault: unknown fault scenario %q (known: %s)\n", c, strings.Join(names, ", "))
 				os.Exit(2)
 			}
-			cfg.Classes = append(cfg.Classes, fault.Class(s))
+			cfg.Classes = append(cfg.Classes, c)
 		}
 	}
 

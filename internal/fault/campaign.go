@@ -1,20 +1,23 @@
 // campaign.go drives the deterministic fault-injection campaign: N
-// seeded trials per fault class per victim workload, each trial executed
-// under Kill and Deny enforcement across four kernel arms (no cache,
+// seeded trials of every registry scenario against every eligible
+// victim workload, each trial executed under Kill and Deny enforcement
+// and, on the kernel layer, across four kernel arms (no cache,
 // per-process cache, fleet-shared cache with group-commit batching, and
-// demand-paged memory with the authenticated swap device). The
-// driver checks the platform's contract — every fault inside the
-// MAC-protected surface is detected with an expected reason, faults
-// outside it are survived cleanly, and outcomes are identical across
-// cache and enforcement configurations — and aggregates the results into
-// a JSON-stable matrix.
+// demand-paged memory with the authenticated swap device). The driver
+// checks the platform's contract — every fault inside the MAC-protected
+// surface is detected with an expected reason, faults outside it are
+// survived cleanly, and outcomes are identical across arms and
+// enforcement modes — and aggregates the results into a JSON-stable
+// matrix.
 package fault
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 
 	"asc/internal/binfmt"
@@ -33,7 +36,7 @@ type Config struct {
 	Trials int
 	// Key is the MAC key; defaults to a fixed campaign key.
 	Key []byte
-	// Classes defaults to Classes().
+	// Classes selects scenarios by name; nil runs the whole registry.
 	Classes []Class
 	// Victims defaults to workload.FaultVictims().
 	Victims []workload.FaultVictim
@@ -41,46 +44,79 @@ type Config struct {
 	// chain is unrecoverable run away until this budget expires.
 	// Defaults to 4,000,000.
 	MaxCycles uint64
-	// Workers runs (class, victim) cells on a sched.Pool of this width.
-	// Zero or one means serial. Every cell builds its own kernels and
-	// fault engine (engines are stateful and not shared), and subseeds
-	// depend only on (seed, victim, trial), so the matrix is
+	// Workers runs (scenario, victim) cells on a sched.Pool of this
+	// width. Zero or one means serial. Every run builds its own kernels
+	// and fault injector (injectors are stateful and not shared), and
+	// subseeds depend only on (seed, victim, trial), so the matrix is
 	// byte-identical at any worker count.
 	Workers int
-	// SkipCkpt omits the checkpoint fault classes (torn write, bit flip,
-	// epoch replay, wrong-process swap). They run by default.
-	SkipCkpt bool
-	// SkipCluster omits the cluster fault classes (node crash, torn
-	// migration, migration replay, node spoof, heartbeat delay). They
-	// run by default.
-	SkipCluster bool
-	// SkipDurable omits the durable control-plane fault classes (torn
-	// WAL tail, WAL record flip, stale-log replay, stale store epoch,
-	// director crash mid-migration). They run by default.
-	SkipDurable bool
 }
 
 // DefaultKey is the campaign MAC key used when Config.Key is nil.
 var DefaultKey = []byte("fault-campaign-k")
 
-// Outcome classifies one process run under one configuration.
+// Outcome is what one run of one trial reports.
 type Outcome struct {
-	Fired    bool   `json:"fired"`
-	Detected bool   `json:"detected"`
-	Reason   string `json:"reason,omitempty"` // first violation reason
-	Result   string `json:"result"`           // clean | killed | denied | runaway | exit:N
+	Fired bool
+	// Reasons counts the run's detections by reason: the first
+	// violation on the kernel layer, every rejection above it.
+	Reasons map[string]int
+	// Result is the victim process's fate on the kernel layer: clean |
+	// killed | denied | runaway | exit:N. It is the only field the
+	// enforcement mode may change.
+	Result string
+	// Recovery is the supervisor's or fleet's tally above the kernel.
+	Recovery Recovery
+	// Errs are breaches the layer's own checks found.
+	Errs []string
 }
 
-// Cell aggregates the trials of one (class, victim) pair.
+func (o *Outcome) fail(format string, args ...any) {
+	o.Errs = append(o.Errs, fmt.Sprintf(format, args...))
+}
+
+func (o *Outcome) reject(reason string, n int) {
+	if o.Reasons == nil {
+		o.Reasons = map[string]int{}
+	}
+	o.Reasons[reason] += n
+}
+
+// Recovery counts how the layers above the kernel brought the workload
+// back: trials whose every process finished with the reference result,
+// and the restarts, failovers, migrations and replayed cycles it took.
+type Recovery struct {
+	Recovered    int    `json:"recovered"`
+	WarmRestarts int    `json:"warm_restarts"`
+	ColdStarts   int    `json:"cold_starts"`
+	Failovers    int    `json:"failovers"`
+	Migrations   int    `json:"migrations"`
+	ReplayCycles uint64 `json:"replay_cycles"`
+}
+
+func (r *Recovery) add(o Recovery) {
+	r.Recovered += o.Recovered
+	r.WarmRestarts += o.WarmRestarts
+	r.ColdStarts += o.ColdStarts
+	r.Failovers += o.Failovers
+	r.Migrations += o.Migrations
+	r.ReplayCycles += o.ReplayCycles
+}
+
+// Cell aggregates the trials of one (scenario, victim) pair, counted on
+// the canonical run (Kill, first arm); every other run of a trial must
+// match it, which the driver checks per trial.
 type Cell struct {
 	Class    string         `json:"class"`
+	Layer    string         `json:"layer"`
 	Victim   string         `json:"victim"`
 	Trials   int            `json:"trials"`
 	Fired    int            `json:"fired"`
-	Detected int            `json:"detected"`
+	Detected int            `json:"detected"` // trials with a detection or rejection
 	Clean    int            `json:"clean"`
 	Runaways int            `json:"runaways"` // deny-mode unrecoverable chains
 	Reasons  map[string]int `json:"reasons,omitempty"`
+	Recovery *Recovery      `json:"recovery,omitempty"` // layers above the kernel
 	Failures []string       `json:"failures,omitempty"`
 }
 
@@ -99,19 +135,34 @@ type RestartCell struct {
 }
 
 // Matrix is the campaign result; its JSON encoding is byte-stable for a
-// given Config.
+// given Config. Cells are in registry order, then victim order.
 type Matrix struct {
 	Seed      uint64        `json:"seed"`
 	Trials    int           `json:"trials"`
 	MaxCycles uint64        `json:"max_cycles"`
 	Cells     []Cell        `json:"cells"`
 	Restarts  []RestartCell `json:"restarts"`
-	Ckpt      []CkptCell    `json:"ckpt,omitempty"`
-	Cluster   []ClusterCell `json:"cluster,omitempty"`
-	// Durable reuses ClusterCell: the durable control-plane classes
-	// check the same zero-loss/canonical-rejection contract one layer
-	// down (WAL, persistent store, takeover).
-	Durable []ClusterCell `json:"durable,omitempty"`
+}
+
+// trial is one run of one trial: a scenario against a victim under one
+// enforcement mode and kernel arm.
+type trial struct {
+	cfg     Config
+	class   Class
+	exp     Expect
+	v       *workload.FaultVictim
+	exe     *binfmt.File
+	prep    *prep // this victim's, for layers with a Prepare
+	donor   *prep // the next eligible victim's
+	subseed uint64
+	mode    kernel.Enforcement
+	arm     int
+}
+
+// pick is the first draw of the trial's subseed.
+func (t *trial) pick() uint64 {
+	s := t.subseed
+	return splitmix(&s)
 }
 
 // Run executes the campaign.
@@ -122,20 +173,19 @@ func Run(cfg Config) (*Matrix, error) {
 	if cfg.Key == nil {
 		cfg.Key = DefaultKey
 	}
-	if cfg.Classes == nil {
-		cfg.Classes = Classes()
-	}
 	if cfg.Victims == nil {
 		cfg.Victims = workload.FaultVictims()
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 4_000_000
 	}
-
-	m := &Matrix{Seed: cfg.Seed, Trials: cfg.Trials, MaxCycles: cfg.MaxCycles}
+	scs, err := selectScenarios(cfg.Classes)
+	if err != nil {
+		return nil, err
+	}
 
 	// Victim binaries are built once, serially, and shared read-only by
-	// every cell.
+	// every cell; so are the per-(layer, victim) preparations.
 	exes := make([]*binfmt.File, len(cfg.Victims))
 	for vi := range cfg.Victims {
 		exe, err := cfg.Victims[vi].Build(cfg.Key)
@@ -144,215 +194,55 @@ func Run(cfg Config) (*Matrix, error) {
 		}
 		exes[vi] = exe
 	}
-
-	// The checkpoint cells need per-victim measurements (clean cycle
-	// counts and swap-donor chains); those are serial and shared
-	// read-only by the fan-out below.
-	// Socket-surface victims sit out the checkpoint sub-campaign: a
-	// process holding live sockets is not checkpointable by design
-	// (kernel.Checkpoint fails with ckpt.ErrUnsupported), so they have
-	// no chain to tamper with. The paged victim sits out too: its run is
-	// one long trapless sweep, and the checkpoint/cluster cadences
-	// assume trap-dense victims.
-	ckptEligible := func(vi int) bool { return !cfg.Victims[vi].Net && !cfg.Victims[vi].Paged }
-	var preps []ckptPrep
-	if !cfg.SkipCkpt {
-		preps = make([]ckptPrep, len(cfg.Victims))
-		for vi := range cfg.Victims {
-			if !ckptEligible(vi) {
-				continue
-			}
-			prep, err := prepCkpt(cfg, &cfg.Victims[vi], exes[vi])
-			if err != nil {
-				return nil, err
-			}
-			preps[vi] = prep
+	preps := map[string][]*prep{}
+	for _, sc := range scs {
+		if sc.Prepare == nil || preps[sc.Layer] != nil {
+			continue
 		}
-	}
-	// The cluster and durable cells need each victim's single-node
-	// reference run — output identity across a failover is the
-	// zero-loss criterion. Socket-surface victims sit out for the same
-	// reason as above: a process holding live sockets cannot be
-	// checkpointed, so it cannot fail over.
-	var clusterPreps []clusterPrep
-	if !cfg.SkipCluster || !cfg.SkipDurable {
-		clusterPreps = make([]clusterPrep, len(cfg.Victims))
+		ps := make([]*prep, len(cfg.Victims))
 		for vi := range cfg.Victims {
-			if !ckptEligible(vi) {
-				continue
+			if sc.eligible(&cfg.Victims[vi]) {
+				if ps[vi], err = sc.Prepare(cfg, &cfg.Victims[vi], exes[vi]); err != nil {
+					return nil, err
+				}
 			}
-			prep, err := prepCluster(cfg, &cfg.Victims[vi], exes[vi])
-			if err != nil {
-				return nil, err
-			}
-			clusterPreps[vi] = prep
 		}
+		preps[sc.Layer] = ps
 	}
 
-	// One task per (victim, class) cell, one restart demonstration per
-	// victim, and one (victim, ckpt class, mode) checkpoint cell per
-	// combination. Each task owns its kernels, stores, and fault
-	// engines, so cells run concurrently when cfg.Workers > 1; subseeds
-	// depend only on (seed, victim index, trial), never on scheduling.
+	// One task per (scenario, eligible victim) cell, then one restart
+	// demonstration per victim. Each task owns its kernels, stores, and
+	// fault injectors, so tasks run concurrently when cfg.Workers > 1.
 	type task struct {
-		vi      int
-		class   Class // zero for the restart task
-		ckpt    bool
-		cluster bool
-		durable bool
-		mode    kernel.Enforcement
+		sc *Scenario
+		vi int
 	}
 	var tasks []task
-	for vi := range cfg.Victims {
-		for _, class := range cfg.Classes {
-			tasks = append(tasks, task{vi: vi, class: class})
-		}
-		tasks = append(tasks, task{vi: vi})
-		if !cfg.SkipCkpt && ckptEligible(vi) {
-			for _, class := range CkptClasses() {
-				for _, mode := range []kernel.Enforcement{kernel.EnforceKill, kernel.EnforceDeny} {
-					tasks = append(tasks, task{vi: vi, class: class, ckpt: true, mode: mode})
-				}
-			}
-		}
-		if !cfg.SkipCluster && ckptEligible(vi) {
-			for _, class := range ClusterClasses() {
-				for _, mode := range []kernel.Enforcement{kernel.EnforceKill, kernel.EnforceDeny} {
-					tasks = append(tasks, task{vi: vi, class: class, cluster: true, mode: mode})
-				}
-			}
-		}
-		if !cfg.SkipDurable && ckptEligible(vi) {
-			for _, class := range DurableClasses() {
-				for _, mode := range []kernel.Enforcement{kernel.EnforceKill, kernel.EnforceDeny} {
-					tasks = append(tasks, task{vi: vi, class: class, durable: true, mode: mode})
-				}
+	for i := range scs {
+		for vi := range cfg.Victims {
+			if scs[i].eligible(&cfg.Victims[vi]) {
+				tasks = append(tasks, task{&scs[i], vi})
 			}
 		}
 	}
-	cells := make([]*Cell, len(tasks))
-	restarts := make([]*RestartCell, len(tasks))
-	ckptCells := make([]*CkptCell, len(tasks))
-	clusterCells := make([]*ClusterCell, len(tasks))
-	durableCells := make([]*ClusterCell, len(tasks))
-	errs := make([]error, len(tasks))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sched.Pool{Workers: workers}.Do(len(tasks), func(i int) {
+	m := &Matrix{Seed: cfg.Seed, Trials: cfg.Trials, MaxCycles: cfg.MaxCycles,
+		Cells: make([]Cell, len(tasks)), Restarts: make([]RestartCell, len(cfg.Victims))}
+	errs := make([]error, len(tasks)+len(cfg.Victims))
+	sched.Pool{Workers: max(cfg.Workers, 1)}.Do(len(errs), func(i int) {
+		if i >= len(tasks) {
+			vi := i - len(tasks)
+			m.Restarts[vi], errs[i] = runRestart(cfg, &cfg.Victims[vi], exes[vi], uint64(vi))
+			return
+		}
 		tk := tasks[i]
-		v := &cfg.Victims[tk.vi]
-		switch {
-		case tk.durable:
-			cell, err := runDurableCell(cfg, tk.class, v, exes[tk.vi], uint64(tk.vi), clusterPreps[tk.vi], tk.mode)
-			durableCells[i], errs[i] = &cell, err
-		case tk.cluster:
-			cell, err := runClusterCell(cfg, tk.class, v, exes[tk.vi], uint64(tk.vi), clusterPreps[tk.vi], tk.mode)
-			clusterCells[i], errs[i] = &cell, err
-		case tk.ckpt:
-			// The swap donor is the next checkpoint-eligible victim's
-			// pristine chain — sealed under the same key for a
-			// different program.
-			di := (tk.vi + 1) % len(cfg.Victims)
-			for !ckptEligible(di) {
-				di = (di + 1) % len(cfg.Victims)
-			}
-			donor := preps[di].chain
-			cell, err := runCkptCell(cfg, tk.class, v, exes[tk.vi], uint64(tk.vi), preps[tk.vi], donor, tk.mode)
-			ckptCells[i], errs[i] = &cell, err
-		case tk.class == "":
-			rc, err := runRestart(cfg, v, exes[tk.vi], uint64(tk.vi))
-			restarts[i], errs[i] = &rc, err
-		default:
-			cell, err := runCell(cfg, tk.class, v, exes[tk.vi], uint64(tk.vi))
-			cells[i], errs[i] = &cell, err
-		}
+		m.Cells[i], errs[i] = runCell(cfg, tk.sc, tk.vi, exes[tk.vi], preps[tk.sc.Layer])
 	})
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case cells[i] != nil:
-			m.Cells = append(m.Cells, *cells[i])
-		case ckptCells[i] != nil:
-			m.Ckpt = append(m.Ckpt, *ckptCells[i])
-		case clusterCells[i] != nil:
-			m.Cluster = append(m.Cluster, *clusterCells[i])
-		case durableCells[i] != nil:
-			m.Durable = append(m.Durable, *durableCells[i])
-		default:
-			m.Restarts = append(m.Restarts, *restarts[i])
-		}
 	}
-	sort.SliceStable(m.Cells, func(i, j int) bool {
-		if m.Cells[i].Class != m.Cells[j].Class {
-			return m.Cells[i].Class < m.Cells[j].Class
-		}
-		return m.Cells[i].Victim < m.Cells[j].Victim
-	})
-	sort.SliceStable(m.Restarts, func(i, j int) bool {
-		return m.Restarts[i].Victim < m.Restarts[j].Victim
-	})
-	sort.SliceStable(m.Ckpt, func(i, j int) bool {
-		a, b := m.Ckpt[i], m.Ckpt[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.Victim != b.Victim {
-			return a.Victim < b.Victim
-		}
-		return a.Mode < b.Mode
-	})
-	sort.SliceStable(m.Cluster, func(i, j int) bool {
-		a, b := m.Cluster[i], m.Cluster[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.Victim != b.Victim {
-			return a.Victim < b.Victim
-		}
-		return a.Mode < b.Mode
-	})
-	sort.SliceStable(m.Durable, func(i, j int) bool {
-		a, b := m.Durable[i], m.Durable[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.Victim != b.Victim {
-			return a.Victim < b.Victim
-		}
-		return a.Mode < b.Mode
-	})
-	// Mode parity: checkpoint, cluster, and durable faults never touch
-	// the enforcement path, so each Deny cell must mirror its Kill
-	// sibling exactly.
-	checkCkptParity(m)
-	checkClusterParity(m)
-	checkDurableParity(m)
 	return m, nil
-}
-
-// checkCkptParity compares each (class, victim) pair's Deny cell against
-// its Kill sibling; any divergence is recorded as a failure on the Deny
-// cell. With the cells sorted (class, victim, mode), siblings are
-// adjacent with "deny" first.
-func checkCkptParity(m *Matrix) {
-	for i := 0; i+1 < len(m.Ckpt); i += 2 {
-		deny, kill := &m.Ckpt[i], m.Ckpt[i+1]
-		if deny.Class != kill.Class || deny.Victim != kill.Victim {
-			deny.Failures = append(deny.Failures, "unpaired checkpoint cell")
-			continue
-		}
-		a, b := *deny, kill
-		a.Mode, b.Mode = "", ""
-		a.Failures, b.Failures = nil, nil
-		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-			deny.Failures = append(deny.Failures,
-				fmt.Sprintf("mode parity: deny %+v, kill %+v", a, b))
-		}
-	}
 }
 
 // runRestart runs one victim under the restart supervisor with a
@@ -402,135 +292,133 @@ func runRestart(cfg Config, v *workload.FaultVictim, exe *binfmt.File, vi uint64
 	return rc, nil
 }
 
-// runCell runs every trial of one (class, victim) pair.
-func runCell(cfg Config, class Class, v *workload.FaultVictim, exe *binfmt.File, vi uint64) (Cell, error) {
-	cell := Cell{
-		Class: string(class), Victim: v.Name, Trials: cfg.Trials,
-		Reasons: map[string]int{},
-	}
-	exp := Expectation(class)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		s := cfg.Seed
-		_ = splitmix(&s)
-		subseed := s ^ vi<<40 ^ uint64(trial)<<8
-		var outs [2 * cacheArms]Outcome
-		i := 0
-		for _, mode := range []kernel.Enforcement{kernel.EnforceKill, kernel.EnforceDeny} {
-			for cache := 0; cache < cacheArms; cache++ {
-				out, err := runOne(cfg, class, exe, v.Stdin, subseed, mode, cache, v.Net)
-				if err != nil {
-					return cell, fmt.Errorf("fault: %s/%s trial %d: %w", class, v.Name, trial, err)
-				}
-				outs[i] = out
-				i++
-			}
-		}
-		cell.note(checkTrial(exp, outs, trial))
-
-		// Aggregate the Kill/cache-off run (the canonical configuration).
-		k := outs[0]
-		if k.Fired {
-			cell.Fired++
-		}
-		if k.Detected {
-			cell.Detected++
-			cell.Reasons[k.Reason]++
-		}
-		if k.Result == "clean" {
-			cell.Clean++
-		}
-		for _, o := range outs[cacheArms:] { // the Deny runs
-			if o.Result == "runaway" {
-				cell.Runaways++
-			}
-		}
-	}
-	if len(cell.Reasons) == 0 {
-		cell.Reasons = nil
-	}
-	return cell, nil
-}
-
-// note appends non-empty failure messages.
-func (c *Cell) note(msgs []string) {
-	c.Failures = append(c.Failures, msgs...)
-}
-
-// checkTrial validates one trial's eight outcomes against the class
-// contract and the cross-configuration parity requirements.
-func checkTrial(exp Expect, outs [2 * cacheArms]Outcome, trial int) []string {
-	var fails []string
-	badf := func(format string, args ...any) {
-		fails = append(fails, fmt.Sprintf("trial %d: ", trial)+fmt.Sprintf(format, args...))
-	}
-	names := [2 * cacheArms]string{
-		"kill", "kill+cache", "kill+fleet", "kill+paged",
-		"deny", "deny+cache", "deny+fleet", "deny+paged",
-	}
-
-	// Parity: the fault either fires in every configuration or in none,
-	// and every cache arm must agree exactly within each mode.
-	for i := 1; i < len(outs); i++ {
-		if outs[i].Fired != outs[0].Fired {
-			badf("fired mismatch: %s=%v, kill=%v", names[i], outs[i].Fired, outs[0].Fired)
-		}
-	}
-	for i := 1; i < cacheArms; i++ {
-		if outs[i] != outs[0] {
-			badf("cache parity (%s): %+v vs %+v", names[i], outs[i], outs[0])
-		}
-		if outs[cacheArms+i] != outs[cacheArms] {
-			badf("cache parity (%s): %+v vs %+v", names[cacheArms+i], outs[cacheArms+i], outs[cacheArms])
-		}
-	}
-	// Kill and Deny must agree on detection and on the first reason.
-	if outs[cacheArms].Detected != outs[0].Detected {
-		badf("mode parity: deny detected=%v, kill detected=%v", outs[cacheArms].Detected, outs[0].Detected)
-	}
-	if outs[0].Detected && outs[cacheArms].Detected && outs[cacheArms].Reason != outs[0].Reason {
-		badf("mode parity: deny reason %q, kill reason %q", outs[cacheArms].Reason, outs[0].Reason)
-	}
-
-	for i, o := range outs {
-		switch {
-		case !o.Fired:
-			// The fault never triggered (no eligible site): the victim
-			// must run to a clean exit.
-			if o.Result != "clean" {
-				badf("%s: unfired run ended %q, want clean", names[i], o.Result)
-			}
-		case !exp.Detected:
-			// Outside the protection boundary: clean survival required.
-			if o.Detected || o.Result != "clean" {
-				badf("%s: out-of-boundary fault not survived: %+v", names[i], o)
-			}
-		default:
-			if !o.Detected {
-				badf("%s: fault not detected: %+v", names[i], o)
-			} else if !exp.ReasonAllowed(kernel.KillReason(o.Reason)) {
-				badf("%s: unexpected reason %q", names[i], o.Reason)
-			}
-			if i < cacheArms && o.Detected && o.Result != "killed" {
-				badf("%s: detected but result %q, want killed", names[i], o.Result)
-			}
-			if i >= cacheArms && o.Result == "killed" {
-				badf("%s: deny-mode process was killed", names[i])
-			}
-		}
-	}
-	return fails
-}
-
-// The kernel arms every (class, victim, trial, mode) cell runs: the
+// The kernel arms every kernel-layer trial runs in each mode: the
 // detection contract may not depend on which fast path is active, and
 // turning on demand paging may not change any existing class's outcome.
+// The layers above the kernel run one arm.
 const (
 	armCacheOff = iota
 	armCachePerProc
 	armCacheFleet
 	armPaged
-	cacheArms
+	kernelArms
 )
+
+var (
+	modes    = [...]kernel.Enforcement{kernel.EnforceKill, kernel.EnforceDeny}
+	armNames = [kernelArms]string{"", "+cache", "+fleet", "+paged"}
+)
+
+// runCell runs every trial of one (scenario, victim) pair.
+func runCell(cfg Config, sc *Scenario, vi int, exe *binfmt.File, preps []*prep) (Cell, error) {
+	v := &cfg.Victims[vi]
+	cell := Cell{Class: string(sc.Name), Layer: sc.Layer, Victim: v.Name, Trials: cfg.Trials}
+	t := trial{cfg: cfg, class: sc.Name, exp: sc.Expect, v: v, exe: exe}
+	if preps != nil {
+		// The donor is the next eligible victim: for the swap class, a
+		// chain sealed under the same key for a different program.
+		di := (vi + 1) % len(cfg.Victims)
+		for !sc.eligible(&cfg.Victims[di]) {
+			di = (di + 1) % len(cfg.Victims)
+		}
+		t.prep, t.donor = preps[vi], preps[di]
+	}
+	arms := 1
+	if sc.Layer == LayerKernel {
+		arms = kernelArms
+	} else {
+		cell.Recovery = &Recovery{}
+	}
+	for tn := 0; tn < cfg.Trials; tn++ {
+		s := cfg.Seed
+		_ = splitmix(&s)
+		t.subseed = s ^ uint64(vi)<<40 ^ uint64(tn)<<8
+		outs := make([]Outcome, 0, len(modes)*arms)
+		for _, mode := range modes {
+			for arm := 0; arm < arms; arm++ {
+				t.mode, t.arm = mode, arm
+				out, err := sc.Trial(&t)
+				if err != nil {
+					return cell, fmt.Errorf("fault: %s/%s/%s trial %d: %w",
+						sc.Name, v.Name, runName(len(outs), arms), tn, err)
+				}
+				outs = append(outs, out)
+			}
+		}
+		cell.Failures = append(cell.Failures, checkTrial(sc.Expect, outs, arms, tn)...)
+
+		k := outs[0]
+		if k.Fired {
+			cell.Fired++
+		}
+		if len(k.Reasons) > 0 {
+			cell.Detected++
+			if cell.Reasons == nil {
+				cell.Reasons = map[string]int{}
+			}
+			for r, n := range k.Reasons {
+				cell.Reasons[r] += n
+			}
+		}
+		if k.Result == "clean" {
+			cell.Clean++
+		}
+		for _, o := range outs[arms:] { // the Deny runs
+			if o.Result == "runaway" {
+				cell.Runaways++
+			}
+		}
+		if cell.Recovery != nil {
+			cell.Recovery.add(k.Recovery)
+		}
+	}
+	return cell, nil
+}
+
+// runName names the i-th run of a trial: mode, then kernel arm.
+func runName(i, arms int) string {
+	mode := "kill"
+	if i >= arms {
+		mode = "deny"
+	}
+	return mode + armNames[i%arms]
+}
+
+// checkTrial validates one trial's runs — Kill then Deny, arms within
+// each — against the scenario's contract and the parity requirements.
+func checkTrial(exp Expect, outs []Outcome, arms, trial int) []string {
+	var fails []string
+	badf := func(format string, args ...any) {
+		fails = append(fails, fmt.Sprintf("trial %d: ", trial)+fmt.Sprintf(format, args...))
+	}
+	// Arm parity: within a mode every arm must agree exactly.
+	for i, o := range outs {
+		if first := outs[i-i%arms]; !reflect.DeepEqual(o, first) {
+			badf("arm parity (%s): %+v vs %+v", runName(i, arms), o, first)
+		}
+	}
+	// Mode parity: Kill and Deny may differ only in the process's fate.
+	kill, deny := outs[0], outs[arms]
+	kill.Result, kill.Errs, deny.Result, deny.Errs = "", nil, "", nil
+	if !reflect.DeepEqual(kill, deny) {
+		badf("mode parity: deny %+v, kill %+v", deny, kill)
+	}
+	for i, o := range outs {
+		name := runName(i, arms)
+		for _, e := range o.Errs {
+			badf("%s: %s", name, e)
+		}
+		if o.Fired && exp.Detected && len(o.Reasons) == 0 {
+			badf("%s: fault not detected: %+v", name, o)
+		}
+		for _, r := range slices.Sorted(maps.Keys(o.Reasons)) {
+			if !exp.ReasonAllowed(r) {
+				badf("%s: unexpected reason %q (allowed %v)", name, r, exp.Reasons)
+			}
+		}
+	}
+	return fails
+}
 
 // pagedBudget is the resident-page budget of paged campaign arms: the
 // minimum, so the paged victim's working set overflows immediately.
@@ -540,60 +428,59 @@ const pagedBudget = 4
 // only exists on a paged kernel, so they run paged in every arm (the
 // cross-arm parity check then covers cache interactions). Every other
 // class exercises paging only in the dedicated paged arm.
-func classNeedsPaging(class Class, cache int) bool {
-	return cache == armPaged || class == SwapFlip || class == SwapReplay
+func classNeedsPaging(class Class, arm int) bool {
+	return arm == armPaged || class == SwapFlip || class == SwapReplay
 }
 
-// runOne executes one victim run under one configuration. withNet
-// attaches a fresh virtual network (socket-surface victims move real
-// bytes; the network is per-run, so runs stay independent).
-func runOne(cfg Config, class Class, exe *binfmt.File, stdin string, subseed uint64, mode kernel.Enforcement, cache int, withNet bool) (Outcome, error) {
+// kernelTrial executes one victim run with an Engine under one mode and
+// kernel arm. Socket-surface victims get a fresh virtual network (they
+// move real bytes; the network is per-run, so runs stay independent).
+func kernelTrial(t *trial) (Outcome, error) {
 	fs := vfs.New()
 	for _, d := range []string{"/bin", "/etc", "/tmp", "/data"} {
 		if err := fs.MkdirAll(d, 0o755); err != nil {
 			return Outcome{}, err
 		}
 	}
-	eng := NewEngine(class, subseed)
+	eng := NewEngine(t.class, t.subseed)
 	// The campaign probes the FIRST violation, so the audit ring must
 	// never wrap: every violating trap costs at least the trap cycles,
 	// which bounds how many violations fit in the cycle budget. (The
 	// default 1024-entry ring can wrap differently across cache
 	// configurations — cache hits are cheaper, so the cached arm packs
 	// more denied loop iterations into the same budget.)
-	ringCap := int(cfg.MaxCycles/kernel.DefaultCosts.Trap) + 16
+	ringCap := int(t.cfg.MaxCycles/kernel.DefaultCosts.Trap) + 16
 	opts := []kernel.Option{
-		kernel.WithEnforcement(mode),
+		kernel.WithEnforcement(t.mode),
 		kernel.WithInjector(eng),
 		kernel.WithAuditCapacity(ringCap),
 	}
-	switch cache {
+	switch t.arm {
 	case armCachePerProc:
 		opts = append(opts, kernel.WithCacheMode(kernel.CachePerProcess))
 	case armCacheFleet:
 		opts = append(opts, kernel.WithVerifyCache(), kernel.WithBatchVerify(8))
 	}
-	if classNeedsPaging(class, cache) {
+	if classNeedsPaging(t.class, t.arm) {
 		opts = append(opts, kernel.WithPagedMemory(pagedBudget))
 	}
-	if withNet {
+	if t.v.Net {
 		opts = append(opts, kernel.WithNetwork(anet.New()))
 	}
-	k, err := kernel.New(fs, cfg.Key, opts...)
+	k, err := kernel.New(fs, t.cfg.Key, opts...)
 	if err != nil {
 		return Outcome{}, err
 	}
-	p, err := k.Spawn(exe, "victim")
+	p, err := k.Spawn(t.exe, "victim")
 	if err != nil {
 		return Outcome{}, err
 	}
-	p.Stdin = []byte(stdin)
-	runErr := k.Run(p, cfg.MaxCycles)
+	p.Stdin = []byte(t.v.Stdin)
+	runErr := k.Run(p, t.cfg.MaxCycles)
 
 	out := Outcome{Fired: eng.Fired()}
 	if first, ok := firstViolation(k); ok {
-		out.Detected = true
-		out.Reason = string(first.Reason)
+		out.reject(string(first.Reason), 1)
 	}
 	switch {
 	case p.Killed:
@@ -602,12 +489,27 @@ func runOne(cfg Config, class Class, exe *binfmt.File, stdin string, subseed uin
 		out.Result = "runaway"
 	case runErr != nil:
 		return Outcome{}, runErr
-	case p.Exited && p.Code == 0 && !out.Detected:
+	case p.Exited && p.Code == 0 && out.Reasons == nil:
 		out.Result = "clean"
 	case p.Exited && p.Code == 0:
 		out.Result = "denied"
 	default:
 		out.Result = fmt.Sprintf("exit:%d", p.Code)
+	}
+
+	switch {
+	case !out.Fired || !t.exp.Detected:
+		// Unfired (no eligible site), or outside the protection
+		// boundary: the victim must run to a clean exit.
+		if out.Result != "clean" {
+			out.fail("fired=%v run ended %q, want clean", out.Fired, out.Result)
+		}
+	case t.mode == kernel.EnforceKill:
+		if out.Reasons != nil && out.Result != "killed" {
+			out.fail("detected but result %q, want killed", out.Result)
+		}
+	case out.Result == "killed":
+		out.fail("deny-mode process was killed")
 	}
 	return out, nil
 }
@@ -639,42 +541,32 @@ func (m *Matrix) Failures() []string {
 			all = append(all, fmt.Sprintf("restart/%s: %s", r.Victim, r.Failure))
 		}
 	}
-	for _, c := range m.Ckpt {
-		for _, f := range c.Failures {
-			all = append(all, fmt.Sprintf("%s/%s/%s: %s", c.Class, c.Victim, c.Mode, f))
-		}
-	}
-	for _, c := range m.Cluster {
-		for _, f := range c.Failures {
-			all = append(all, fmt.Sprintf("%s/%s/%s: %s", c.Class, c.Victim, c.Mode, f))
-		}
-	}
-	for _, c := range m.Durable {
-		for _, f := range c.Failures {
-			all = append(all, fmt.Sprintf("%s/%s/%s: %s", c.Class, c.Victim, c.Mode, f))
-		}
-	}
 	return all
 }
 
-// Render formats the matrix as an aligned text table.
+// Render formats the matrix as an aligned text table. The recovery
+// columns are blank on the kernel layer.
 func (m *Matrix) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fault campaign: seed=%d trials=%d\n", m.Seed, m.Trials)
-	fmt.Fprintf(&b, "%-18s %-8s %6s %6s %9s %6s %9s  %s\n",
-		"class", "victim", "trials", "fired", "detected", "clean", "runaways", "reasons")
+	row := "%-28v %-7v %-8v %6v %6v %9v %6v %9v %10v %5v %9v %8v  %v\n"
+	fmt.Fprintf(&b, row, "class", "layer", "victim", "trials", "fired", "detected", "clean",
+		"runaways", "recovered", "warm", "failovers", "replay", "reasons")
 	for _, c := range m.Cells {
 		reasons := make([]string, 0, len(c.Reasons))
-		for r, n := range c.Reasons {
-			reasons = append(reasons, fmt.Sprintf("%s×%d", r, n))
+		for _, r := range slices.Sorted(maps.Keys(c.Reasons)) {
+			reasons = append(reasons, fmt.Sprintf("%s×%d", r, c.Reasons[r]))
 		}
-		sort.Strings(reasons)
 		status := strings.Join(reasons, ", ")
 		if len(c.Failures) > 0 {
 			status = fmt.Sprintf("FAILURES=%d %s", len(c.Failures), status)
 		}
-		fmt.Fprintf(&b, "%-18s %-8s %6d %6d %9d %6d %9d  %s\n",
-			c.Class, c.Victim, c.Trials, c.Fired, c.Detected, c.Clean, c.Runaways, status)
+		rec := []any{"-", "-", "-", "-"}
+		if r := c.Recovery; r != nil {
+			rec = []any{r.Recovered, r.WarmRestarts, r.Failovers, r.ReplayCycles}
+		}
+		fmt.Fprintf(&b, row, append(append([]any{c.Class, c.Layer, c.Victim, c.Trials, c.Fired,
+			c.Detected, c.Clean, c.Runaways}, rec...), status)...)
 	}
 	for _, r := range m.Restarts {
 		verdict := "recovered"
@@ -686,63 +578,6 @@ func (m *Matrix) Render() string {
 		}
 		fmt.Fprintf(&b, "supervised restart %-8s transient %s: %d attempts, %d restarts, %s\n",
 			r.Victim, r.Class, r.Attempts, r.Restarts, verdict)
-	}
-	if len(m.Ckpt) > 0 {
-		fmt.Fprintf(&b, "checkpoint faults:\n")
-		fmt.Fprintf(&b, "%-18s %-8s %-5s %6s %6s %9s %5s %10s %7s  %s\n",
-			"class", "victim", "mode", "trials", "fired", "rejected", "warm", "recovered", "replay", "reasons")
-		for _, c := range m.Ckpt {
-			reasons := make([]string, 0, len(c.Reasons))
-			for r, n := range c.Reasons {
-				reasons = append(reasons, fmt.Sprintf("%s×%d", r, n))
-			}
-			sort.Strings(reasons)
-			status := strings.Join(reasons, ", ")
-			if len(c.Failures) > 0 {
-				status = fmt.Sprintf("FAILURES=%d %s", len(c.Failures), status)
-			}
-			fmt.Fprintf(&b, "%-18s %-8s %-5s %6d %6d %9d %5d %10d %7d  %s\n",
-				c.Class, c.Victim, c.Mode, c.Trials, c.Fired, c.Rejected,
-				c.WarmRestarts, c.Recovered, c.ReplayCycles, status)
-		}
-	}
-	if len(m.Cluster) > 0 {
-		fmt.Fprintf(&b, "cluster faults:\n")
-		fmt.Fprintf(&b, "%-24s %-8s %-5s %6s %6s %9s %9s %5s %10s  %s\n",
-			"class", "victim", "mode", "trials", "fired", "rejected", "failovers", "warm", "recovered", "reasons")
-		for _, c := range m.Cluster {
-			reasons := make([]string, 0, len(c.Reasons))
-			for r, n := range c.Reasons {
-				reasons = append(reasons, fmt.Sprintf("%s×%d", r, n))
-			}
-			sort.Strings(reasons)
-			status := strings.Join(reasons, ", ")
-			if len(c.Failures) > 0 {
-				status = fmt.Sprintf("FAILURES=%d %s", len(c.Failures), status)
-			}
-			fmt.Fprintf(&b, "%-24s %-8s %-5s %6d %6d %9d %9d %5d %10d  %s\n",
-				c.Class, c.Victim, c.Mode, c.Trials, c.Fired, c.Rejected,
-				c.Failovers, c.WarmRestarts, c.Recovered, status)
-		}
-	}
-	if len(m.Durable) > 0 {
-		fmt.Fprintf(&b, "durable control-plane faults:\n")
-		fmt.Fprintf(&b, "%-28s %-8s %-5s %6s %6s %9s %9s %5s %10s  %s\n",
-			"class", "victim", "mode", "trials", "fired", "rejected", "failovers", "warm", "recovered", "reasons")
-		for _, c := range m.Durable {
-			reasons := make([]string, 0, len(c.Reasons))
-			for r, n := range c.Reasons {
-				reasons = append(reasons, fmt.Sprintf("%s×%d", r, n))
-			}
-			sort.Strings(reasons)
-			status := strings.Join(reasons, ", ")
-			if len(c.Failures) > 0 {
-				status = fmt.Sprintf("FAILURES=%d %s", len(c.Failures), status)
-			}
-			fmt.Fprintf(&b, "%-28s %-8s %-5s %6d %6d %9d %9d %5d %10d  %s\n",
-				c.Class, c.Victim, c.Mode, c.Trials, c.Fired, c.Rejected,
-				c.Failovers, c.WarmRestarts, c.Recovered, status)
-		}
 	}
 	return b.String()
 }

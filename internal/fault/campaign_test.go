@@ -21,18 +21,17 @@ func TestCampaignContract(t *testing.T) {
 	}
 	t.Logf("\n%s", m.Render())
 
-	// Every class × victim pair ran, and the in-boundary classes fired
-	// somewhere in the corpus.
+	// Every scenario ran, and fired somewhere in the corpus.
 	firedBy := map[string]int{}
 	for _, c := range m.Cells {
 		firedBy[c.Class] += c.Fired
 	}
-	for _, class := range Classes() {
-		if _, ok := firedBy[string(class)]; !ok {
-			t.Errorf("class %s missing from matrix", class)
+	for _, sc := range Scenarios() {
+		if _, ok := firedBy[string(sc.Name)]; !ok {
+			t.Errorf("scenario %s missing from matrix", sc.Name)
 		}
-		if firedBy[string(class)] == 0 {
-			t.Errorf("class %s never fired across the corpus", class)
+		if firedBy[string(sc.Name)] == 0 {
+			t.Errorf("scenario %s never fired across the corpus", sc.Name)
 		}
 	}
 

@@ -5,6 +5,7 @@
 // fallback chain for a warm restart; the contract is that the tampered
 // blob is rejected with the class's canonical reason, the restart falls
 // back to the older intact checkpoint, and the workload still recovers.
+// The contract's reasons are the scenario rows in scenario.go.
 package fault
 
 import (
@@ -13,7 +14,6 @@ import (
 	"asc/internal/binfmt"
 	"asc/internal/ckpt"
 	"asc/internal/core"
-	"asc/internal/kernel"
 	"asc/internal/workload"
 )
 
@@ -31,30 +31,6 @@ const (
 	// *different* program at the same epoch — a cross-process swap.
 	CkptSwap Class = "ckpt-wrong-process"
 )
-
-// CkptClasses returns the checkpoint fault classes in canonical order.
-func CkptClasses() []Class {
-	return []Class{CkptTorn, CkptFlip, CkptReplay, CkptSwap}
-}
-
-// CkptExpectation returns the ckpt.Reason strings a class's rejection
-// may carry. Every class must be rejected: there is no survivable
-// checkpoint corruption, only detected corruption.
-func CkptExpectation(c Class) []string {
-	switch c {
-	case CkptTorn:
-		// A long prefix still covers the 16-byte header (seal fails); a
-		// short one does not even parse.
-		return []string{ckpt.ReasonTruncated, ckpt.ReasonSeal}
-	case CkptFlip:
-		return []string{ckpt.ReasonSeal}
-	case CkptReplay:
-		return []string{ckpt.ReasonEpoch}
-	case CkptSwap:
-		return []string{ckpt.ReasonProgram}
-	}
-	return nil
-}
 
 // CkptFault tampers with the newest entry of a checkpoint chain exactly
 // once. Its decisions are a pure function of (class, seed), like
@@ -119,167 +95,95 @@ func (f *CkptFault) Tamper(chain []ckpt.Entry, i int) []byte {
 	return blob
 }
 
-// CkptCell aggregates the trials of one (class, victim, mode) triple.
-// The mode is recorded for the parity check: checkpoint faults live
-// entirely outside the enforcement path, so Kill and Deny cells must be
-// identical in every field but Mode.
-type CkptCell struct {
-	Class        string         `json:"class"`
-	Victim       string         `json:"victim"`
-	Mode         string         `json:"mode"`
-	Trials       int            `json:"trials"`
-	Fired        int            `json:"fired"`
-	Rejected     int            `json:"rejected"`
-	Reasons      map[string]int `json:"reasons,omitempty"`
-	WarmRestarts int            `json:"warm_restarts"`
-	ColdStarts   int            `json:"cold_starts"`
-	Recovered    int            `json:"recovered"`
-	ReplayCycles uint64         `json:"replay_cycles"`
-	Failures     []string       `json:"failures,omitempty"`
-}
-
 // ckptReplaySlack bounds how far a checkpoint boundary can overshoot its
 // cadence mark: one trap's worth of verification work.
 const ckptReplaySlack = 8192
 
-// ckptPrep is the per-victim serial precomputation: the clean cycle
-// count (from which the runaway budget is derived) and the victim's own
-// pristine checkpoint chain (the swap donor for its neighbor victim).
-type ckptPrep struct {
-	clean uint64
-	chain []ckpt.Entry
+// onCkpt is a checkpoint-layer row: every trial must tamper, be
+// rejected with one of reasons, and recover warm.
+func onCkpt(c Class, reasons ...string) Scenario {
+	return Scenario{Name: c, Layer: LayerCkpt, Eligible: checkpointable,
+		Prepare: prepChain, Trial: ckptTrial, Expect: detects(reasons)}
 }
 
-// prepCkpt measures one victim and seals its donor chain.
-func prepCkpt(cfg Config, v *workload.FaultVictim, exe *binfmt.File) (ckptPrep, error) {
-	sys, err := core.NewSystem(core.Config{Key: cfg.Key})
+// prepChain measures a victim and seals its own pristine checkpoint
+// chain: the swap donor for its neighbor victim.
+func prepChain(cfg Config, v *workload.FaultVictim, exe *binfmt.File) (*prep, error) {
+	p, err := prepRef(cfg, v, exe)
 	if err != nil {
-		return ckptPrep{}, err
+		return nil, err
 	}
-	res, err := sys.Exec(exe, v.Name, v.Stdin)
-	if err != nil {
-		return ckptPrep{}, fmt.Errorf("fault: ckpt clean run %s: %w", v.Name, err)
-	}
-	if res.Killed {
-		return ckptPrep{}, fmt.Errorf("fault: ckpt clean run %s killed: %s", v.Name, res.Reason)
-	}
-
 	store := ckpt.NewStore()
 	donor, err := core.NewSystem(core.Config{Key: cfg.Key})
 	if err != nil {
-		return ckptPrep{}, err
+		return nil, err
 	}
 	stats, err := donor.Supervise(exe, v.Name, v.Stdin, core.SuperviseConfig{
 		MaxRestarts:     core.NoRestarts,
-		MaxCycles:       res.Cycles * 2,
-		CheckpointEvery: res.Cycles / 6,
+		MaxCycles:       p.ref.Cycles * 2,
+		CheckpointEvery: p.ref.Cycles / 6,
 		Checkpoints:     store,
 	})
 	if err != nil {
-		return ckptPrep{}, fmt.Errorf("fault: ckpt donor run %s: %w", v.Name, err)
+		return nil, fmt.Errorf("fault: ckpt donor run %s: %w", v.Name, err)
 	}
 	if stats.GaveUp || stats.Checkpoints == 0 {
-		return ckptPrep{}, fmt.Errorf("fault: ckpt donor run %s: %d checkpoints, gaveUp=%v",
+		return nil, fmt.Errorf("fault: ckpt donor run %s: %d checkpoints, gaveUp=%v",
 			v.Name, stats.Checkpoints, stats.GaveUp)
 	}
-	return ckptPrep{clean: res.Cycles, chain: store.Chain()}, nil
+	p.chain = store.Chain()
+	return p, nil
 }
 
-// runCkptCell runs every trial of one (class, victim, mode) triple. The
-// victim is driven into a runaway by a budget smaller than its clean
-// cycle count, so the supervisor must recover it through the (tampered)
-// checkpoint chain.
-func runCkptCell(cfg Config, class Class, v *workload.FaultVictim, exe *binfmt.File, vi uint64, prep ckptPrep, donor []ckpt.Entry, mode kernel.Enforcement) (CkptCell, error) {
-	modeName := "kill"
-	if mode == kernel.EnforceDeny {
-		modeName = "deny"
-	}
-	cell := CkptCell{
-		Class: string(class), Victim: v.Name, Mode: modeName,
-		Trials: cfg.Trials, Reasons: map[string]int{},
-	}
-	budget := prep.clean * 4 / 5
+// ckptTrial drives the victim into a runaway with a budget smaller than
+// its clean cycle count, so the supervisor must recover it through the
+// (tampered) checkpoint chain.
+func ckptTrial(t *trial) (Outcome, error) {
+	budget := t.prep.ref.Cycles * 4 / 5
 	every := budget / 3
-	exp := CkptExpectation(class)
-
-	for trial := 0; trial < cfg.Trials; trial++ {
-		s := cfg.Seed
-		_ = splitmix(&s)
-		subseed := s ^ vi<<40 ^ uint64(trial)<<8
-
-		eng := NewCkptFault(class, subseed, donor)
-		store := ckpt.NewStore()
-		store.Tamper = eng.Tamper
-		sys, err := core.NewSystem(core.Config{Key: cfg.Key, Enforcement: mode})
-		if err != nil {
-			return cell, err
-		}
-		stats, err := sys.Supervise(exe, v.Name, v.Stdin, core.SuperviseConfig{
-			MaxRestarts:     8,
-			BackoffBase:     100,
-			MaxCycles:       budget,
-			CheckpointEvery: every,
-			Checkpoints:     store,
-		})
-		if err != nil {
-			return cell, fmt.Errorf("fault: ckpt %s/%s/%s trial %d: %w", class, v.Name, modeName, trial, err)
-		}
-
-		badf := func(format string, args ...any) {
-			cell.Failures = append(cell.Failures,
-				fmt.Sprintf("trial %d: ", trial)+fmt.Sprintf(format, args...))
-		}
-		if eng.Fired() {
-			cell.Fired++
-		} else {
-			badf("checkpoint fault never fired")
-		}
-		if len(stats.CkptRejected) > 0 {
-			cell.Rejected++
-		} else if eng.Fired() {
-			badf("tampered checkpoint was not rejected")
-		}
-		for reason, n := range stats.CkptRejected {
-			cell.Reasons[reason] += n
-			ok := false
-			for _, want := range exp {
-				if reason == want {
-					ok = true
-				}
-			}
-			if !ok {
-				badf("unexpected rejection reason %q (allowed %v)", reason, exp)
-			}
-		}
-		cell.WarmRestarts += stats.WarmRestarts
-		cell.ColdStarts += stats.ColdStarts
-		cell.ReplayCycles += stats.ReplayCycles
-		if stats.WarmRestarts == 0 {
-			badf("no warm restart: fallback chain did not recover")
-		}
-		if stats.ColdStarts != 0 {
-			badf("%d cold starts with an intact older checkpoint", stats.ColdStarts)
-		}
-		recovered := !stats.GaveUp && stats.Final != nil && !stats.Final.Killed && stats.Final.ExitCode == 0
-		if recovered {
-			cell.Recovered++
-		} else {
-			badf("workload did not recover: %+v", stats.Final)
-		}
-		// Replay bound: a warm restart replays the cycles since its
-		// restore point, and every rejected blob pushes that point one
-		// cadence interval older.
-		rejected := 0
-		for _, n := range stats.CkptRejected {
-			rejected += n
-		}
-		if bound := uint64(stats.WarmRestarts+rejected) * (every + ckptReplaySlack); stats.ReplayCycles > bound {
-			badf("replayed %d cycles, bound %d (cadence %d, %d rejections)",
-				stats.ReplayCycles, bound, every, rejected)
-		}
+	eng := NewCkptFault(t.class, t.subseed, t.donor.chain)
+	store := ckpt.NewStore()
+	store.Tamper = eng.Tamper
+	sys, err := core.NewSystem(core.Config{Key: t.cfg.Key, Enforcement: t.mode})
+	if err != nil {
+		return Outcome{}, err
 	}
-	if len(cell.Reasons) == 0 {
-		cell.Reasons = nil
+	stats, err := sys.Supervise(t.exe, t.v.Name, t.v.Stdin, core.SuperviseConfig{
+		MaxRestarts:     8,
+		BackoffBase:     100,
+		MaxCycles:       budget,
+		CheckpointEvery: every,
+		Checkpoints:     store,
+	})
+	if err != nil {
+		return Outcome{}, err
 	}
-	return cell, nil
+
+	o := firedOutcome(eng.Fired())
+	rejected := 0
+	for reason, n := range stats.CkptRejected {
+		o.reject(reason, n)
+		rejected += n
+	}
+	o.Recovery = Recovery{WarmRestarts: stats.WarmRestarts, ColdStarts: stats.ColdStarts,
+		ReplayCycles: stats.ReplayCycles}
+	if !stats.GaveUp && stats.Final != nil && !stats.Final.Killed && stats.Final.ExitCode == 0 {
+		o.Recovery.Recovered = 1
+	} else {
+		o.fail("workload did not recover: %+v", stats.Final)
+	}
+	if stats.WarmRestarts == 0 {
+		o.fail("no warm restart: fallback chain did not recover")
+	}
+	if stats.ColdStarts != 0 {
+		o.fail("%d cold starts with an intact older checkpoint", stats.ColdStarts)
+	}
+	// Replay bound: a warm restart replays the cycles since its restore
+	// point, and every rejected blob pushes that point one cadence
+	// interval older.
+	if bound := uint64(stats.WarmRestarts+rejected) * (every + ckptReplaySlack); stats.ReplayCycles > bound {
+		o.fail("replayed %d cycles, bound %d (cadence %d, %d rejections)",
+			stats.ReplayCycles, bound, every, rejected)
+	}
+	return o, nil
 }

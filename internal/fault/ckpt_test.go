@@ -9,10 +9,16 @@ import (
 
 // TestCkptCampaignCells: the checkpoint fault classes achieve 100%
 // detection — every trial fires, every tampered blob is rejected with
-// the class's canonical reason, and every workload recovers warm — and
-// the Kill and Deny cells are numerically identical.
+// the class's canonical reason, and every workload recovers warm. Kill
+// and Deny runs must match per trial; a divergence is a failure.
 func TestCkptCampaignCells(t *testing.T) {
-	m, err := Run(Config{Seed: 11, Trials: 2, Classes: []Class{FlipCacheGen}})
+	var names []Class
+	for _, sc := range Scenarios() {
+		if sc.Layer == LayerCkpt {
+			names = append(names, sc.Name)
+		}
+	}
+	m, err := Run(Config{Seed: 11, Trials: 2, Classes: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,56 +29,50 @@ func TestCkptCampaignCells(t *testing.T) {
 	}
 
 	const victims = 3
-	if want := len(CkptClasses()) * victims * 2; len(m.Ckpt) != want {
-		t.Fatalf("ckpt cells = %d, want %d", len(m.Ckpt), want)
+	if want := len(names) * victims; len(names) != 4 || len(m.Cells) != want {
+		t.Fatalf("%d ckpt scenarios, %d cells, want 4 and %d", len(names), len(m.Cells), want)
 	}
-	exp := map[string][]string{}
-	for _, class := range CkptClasses() {
-		exp[string(class)] = CkptExpectation(class)
-	}
-	for _, c := range m.Ckpt {
-		if c.Fired != c.Trials || c.Rejected != c.Trials || c.Recovered != c.Trials {
-			t.Errorf("%s/%s/%s: fired=%d rejected=%d recovered=%d of %d trials",
-				c.Class, c.Victim, c.Mode, c.Fired, c.Rejected, c.Recovered, c.Trials)
+	for _, c := range m.Cells {
+		r := c.Recovery
+		if c.Layer != LayerCkpt || r == nil {
+			t.Fatalf("%s/%s: layer %q, recovery %v", c.Class, c.Victim, c.Layer, r)
 		}
-		if c.WarmRestarts < c.Trials {
-			t.Errorf("%s/%s/%s: %d warm restarts for %d trials", c.Class, c.Victim, c.Mode, c.WarmRestarts, c.Trials)
+		if c.Fired != c.Trials || c.Detected != c.Trials || r.Recovered != c.Trials {
+			t.Errorf("%s/%s: fired=%d detected=%d recovered=%d of %d trials",
+				c.Class, c.Victim, c.Fired, c.Detected, r.Recovered, c.Trials)
 		}
-		if c.ColdStarts != 0 {
-			t.Errorf("%s/%s/%s: %d cold starts with an intact fallback", c.Class, c.Victim, c.Mode, c.ColdStarts)
+		if r.WarmRestarts < c.Trials {
+			t.Errorf("%s/%s: %d warm restarts for %d trials", c.Class, c.Victim, r.WarmRestarts, c.Trials)
 		}
+		if r.ColdStarts != 0 {
+			t.Errorf("%s/%s: %d cold starts with an intact fallback", c.Class, c.Victim, r.ColdStarts)
+		}
+		exp := Expectation(Class(c.Class))
 		for reason := range c.Reasons {
-			ok := false
-			for _, want := range exp[c.Class] {
-				if reason == want {
-					ok = true
-				}
+			if !exp.ReasonAllowed(reason) {
+				t.Errorf("%s/%s: reason %q outside %v", c.Class, c.Victim, reason, exp.Reasons)
 			}
-			if !ok {
-				t.Errorf("%s/%s/%s: reason %q outside %v", c.Class, c.Victim, c.Mode, reason, exp[c.Class])
-			}
-		}
-	}
-	// Kill/Deny parity, field for field (cells sort deny before kill).
-	for i := 0; i+1 < len(m.Ckpt); i += 2 {
-		deny, kill := m.Ckpt[i], m.Ckpt[i+1]
-		deny.Mode, kill.Mode = "", ""
-		if deny.Class != kill.Class || deny.Victim != kill.Victim ||
-			deny.Rejected != kill.Rejected || deny.WarmRestarts != kill.WarmRestarts ||
-			deny.ReplayCycles != kill.ReplayCycles {
-			t.Errorf("mode parity broken: %+v vs %+v", deny, kill)
 		}
 	}
 }
 
-// TestCkptCampaignSkip: SkipCkpt omits the checkpoint cells entirely.
-func TestCkptCampaignSkip(t *testing.T) {
-	m, err := Run(Config{Seed: 11, Trials: 1, Classes: []Class{FlipCacheGen}, SkipCkpt: true})
+// TestClassesSelectScenarios: Config.Classes selects scenarios on any
+// layer and restricts the matrix to them; an unknown name is an error.
+func TestClassesSelectScenarios(t *testing.T) {
+	m, err := Run(Config{Seed: 11, Trials: 1, Classes: []Class{CkptFlip}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Ckpt) != 0 {
-		t.Errorf("SkipCkpt left %d ckpt cells", len(m.Ckpt))
+	if len(m.Cells) == 0 {
+		t.Fatal("no cells")
+	}
+	for _, c := range m.Cells {
+		if c.Class != string(CkptFlip) {
+			t.Errorf("cell %s/%s ran outside the selection", c.Class, c.Victim)
+		}
+	}
+	if _, err := Run(Config{Trials: 1, Classes: []Class{"no-such-class"}}); err == nil {
+		t.Error("unknown scenario accepted")
 	}
 }
 

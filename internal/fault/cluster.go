@@ -14,19 +14,14 @@
 //     suspicion: no declared failures, no failovers.
 //
 // Like the checkpoint classes, cluster faults live entirely outside the
-// enforcement path, so each cell runs under Kill and Deny and the pair
-// must be identical in every field but Mode.
+// enforcement path, so a trial's Kill and Deny runs must be identical.
 package fault
 
 import (
 	"fmt"
 
-	"asc/internal/binfmt"
-	"asc/internal/ckpt"
 	"asc/internal/cluster"
 	"asc/internal/core"
-	"asc/internal/kernel"
-	"asc/internal/workload"
 )
 
 // The cluster fault classes.
@@ -48,75 +43,10 @@ const (
 	ClusterDelay Class = "heartbeat-delay"
 )
 
-// ClusterClasses returns the cluster fault classes in canonical order.
-func ClusterClasses() []Class {
-	return []Class{ClusterCrash, ClusterCrashMidMig, ClusterReplay, ClusterSpoof, ClusterDelay}
-}
-
-// ClusterExpectation returns the rejection reasons a class must (and
-// may only) produce. Crash and delay classes produce none: their
-// contract is recovery, not rejection.
-func ClusterExpectation(c Class) []string {
-	switch c {
-	case ClusterReplay:
-		return []string{ckpt.ReasonEpoch}
-	case ClusterSpoof:
-		return []string{ckpt.ReasonNode}
-	}
-	return nil
-}
-
-// ClusterCell aggregates the trials of one (class, victim, mode)
-// triple.
-type ClusterCell struct {
-	Class        string         `json:"class"`
-	Victim       string         `json:"victim"`
-	Mode         string         `json:"mode"`
-	Trials       int            `json:"trials"`
-	Fired        int            `json:"fired"`
-	Rejected     int            `json:"rejected"` // trials whose delivery was refused
-	Reasons      map[string]int `json:"reasons,omitempty"`
-	Failovers    int            `json:"failovers"`
-	WarmRestarts int            `json:"warm_restarts"`
-	ColdStarts   int            `json:"cold_starts"`
-	Migrations   int            `json:"migrations"`
-	Recovered    int            `json:"recovered"` // trials with every output matching the reference
-	ReplayCycles uint64         `json:"replay_cycles"`
-	Failures     []string       `json:"failures,omitempty"`
-}
-
 // clusterFleet is how many copies of the victim each trial runs — one
 // per node, so round-robin places exactly one process on the node the
 // fault targets.
 const clusterFleet = 3
-
-// clusterPrep is the per-victim serial precomputation: the reference
-// result (output identity is the zero-loss check) and a slice size that
-// stretches the victim across ~10 scheduler ticks.
-type clusterPrep struct {
-	ref   *core.Result
-	slice uint64
-}
-
-// prepCluster measures one victim's single-node reference run.
-func prepCluster(cfg Config, v *workload.FaultVictim, exe *binfmt.File) (clusterPrep, error) {
-	sys, err := core.NewSystem(core.Config{Key: cfg.Key})
-	if err != nil {
-		return clusterPrep{}, err
-	}
-	res, err := sys.Exec(exe, v.Name, v.Stdin)
-	if err != nil {
-		return clusterPrep{}, fmt.Errorf("fault: cluster clean run %s: %w", v.Name, err)
-	}
-	if res.Killed || res.ExitCode != 0 {
-		return clusterPrep{}, fmt.Errorf("fault: cluster clean run %s failed: %+v", v.Name, res)
-	}
-	slice := res.Cycles / 10
-	if slice < 256 {
-		slice = 256
-	}
-	return clusterPrep{ref: res, slice: slice}, nil
-}
 
 // clusterTrial is the state one trial's OnTick hook accumulates.
 type clusterTrial struct {
@@ -125,141 +55,118 @@ type clusterTrial struct {
 	hookErrs []string
 }
 
-// runClusterCell runs every trial of one (class, victim, mode) triple.
-func runClusterCell(cfg Config, class Class, v *workload.FaultVictim, exe *binfmt.File, vi uint64, prep clusterPrep, mode kernel.Enforcement) (ClusterCell, error) {
-	modeName := "kill"
-	if mode == kernel.EnforceDeny {
-		modeName = "deny"
+// onCluster is a cluster-layer row; check holds the class's own
+// contract on the fleet report.
+func onCluster(c Class, check func(*cluster.FleetReport, *Outcome), reasons ...string) Scenario {
+	return Scenario{Name: c, Layer: LayerCluster, Eligible: checkpointable, Prepare: prepRef,
+		Expect: detects(reasons), Trial: func(t *trial) (Outcome, error) {
+			tr := &clusterTrial{}
+			ccfg, reqs := fleet(t)
+			ccfg.OnTick = clusterHook(c, t.pick(), tr)
+			d, err := cluster.New(ccfg)
+			if err != nil {
+				return Outcome{}, err
+			}
+			rep, err := d.Run(reqs)
+			if err != nil {
+				return Outcome{}, err
+			}
+			o := fleetOutcome(t, tr, rep.Procs)
+			check(rep, &o)
+			return o, nil
+		}}
+}
+
+// fleet is one trial's cluster configuration and fleet: one copy of the
+// victim per node, its slice stretching the victim across ~10 scheduler
+// ticks.
+func fleet(t *trial) (cluster.Config, []core.RunRequest) {
+	slice := max(t.prep.ref.Cycles/10, 256)
+	reqs := make([]core.RunRequest, clusterFleet)
+	for i := range reqs {
+		reqs[i] = core.RunRequest{Exe: t.exe, Name: fmt.Sprintf("v%d", i), Stdin: t.v.Stdin}
 	}
-	cell := ClusterCell{
-		Class: string(class), Victim: v.Name, Mode: modeName,
-		Trials: cfg.Trials, Reasons: map[string]int{},
+	return cluster.Config{
+		Nodes:           clusterFleet,
+		Key:             t.cfg.Key,
+		Enforcement:     t.mode,
+		SliceCycles:     slice,
+		CheckpointEvery: int64(slice),
+		HeartbeatEvery:  1,
+		MissThreshold:   3,
+		MaxCycles:       t.cfg.MaxCycles,
+	}, reqs
+}
+
+// fleetOutcome folds a fleet run into an outcome: the hook's verdicts,
+// then zero authenticated-state loss — every process finishes clean
+// with the single-node reference output, and no recovery is cold.
+// Rejections inside the fleet (a refused stale store epoch surfaces in
+// the fallback chain's per-process map) count with the hook's.
+func fleetOutcome(t *trial, tr *clusterTrial, procs []cluster.ProcReport) Outcome {
+	o := firedOutcome(tr.fired)
+	o.Errs = append(o.Errs, tr.hookErrs...)
+	for _, reason := range tr.reasons {
+		o.reject(reason, 1)
 	}
-	exp := ClusterExpectation(class)
-
-	for trial := 0; trial < cfg.Trials; trial++ {
-		s := cfg.Seed
-		_ = splitmix(&s)
-		subseed := s ^ vi<<40 ^ uint64(trial)<<8
-		pick := splitmix(&subseed)
-
-		tr := &clusterTrial{}
-		ccfg := cluster.Config{
-			Nodes:           clusterFleet,
-			Key:             cfg.Key,
-			Enforcement:     mode,
-			SliceCycles:     prep.slice,
-			CheckpointEvery: int64(prep.slice),
-			HeartbeatEvery:  1,
-			MissThreshold:   3,
-			MaxCycles:       cfg.MaxCycles,
-			OnTick:          clusterHook(class, pick, tr),
+	recovered := true
+	for _, pr := range procs {
+		o.Recovery.add(Recovery{Failovers: pr.Failovers, WarmRestarts: pr.WarmRestarts,
+			ColdStarts: pr.ColdStarts, Migrations: pr.Migrations, ReplayCycles: pr.ReplayCycles})
+		switch {
+		case pr.Err != nil:
+			recovered = false
+			o.fail("%s: %v", pr.Name, pr.Err)
+		case pr.Result == nil || pr.Result.Killed || pr.Result.ExitCode != 0:
+			recovered = false
+			o.fail("%s: did not exit clean: %+v", pr.Name, pr.Result)
+		case pr.Result.Output != t.prep.ref.Output:
+			recovered = false
+			o.fail("%s: output diverged from the single-node run", pr.Name)
 		}
-		d, err := cluster.New(ccfg)
-		if err != nil {
-			return cell, err
+		if pr.ColdStarts != 0 {
+			o.fail("%s: %d cold starts with durable checkpoints available", pr.Name, pr.ColdStarts)
 		}
-		reqs := make([]core.RunRequest, clusterFleet)
-		for i := range reqs {
-			reqs[i] = core.RunRequest{Exe: exe, Name: fmt.Sprintf("v%d", i), Stdin: v.Stdin}
-		}
-		rep, err := d.Run(reqs)
-		if err != nil {
-			return cell, fmt.Errorf("fault: cluster %s/%s/%s trial %d: %w", class, v.Name, modeName, trial, err)
-		}
-
-		badf := func(format string, args ...any) {
-			cell.Failures = append(cell.Failures,
-				fmt.Sprintf("trial %d: ", trial)+fmt.Sprintf(format, args...))
-		}
-		for _, msg := range tr.hookErrs {
-			badf("%s", msg)
-		}
-		if tr.fired {
-			cell.Fired++
-		} else {
-			badf("cluster fault never fired")
-		}
-
-		// Zero authenticated-state loss: every process finishes clean
-		// with the single-node reference output.
-		recovered := true
-		for _, pr := range rep.Procs {
-			cell.Failovers += pr.Failovers
-			cell.WarmRestarts += pr.WarmRestarts
-			cell.ColdStarts += pr.ColdStarts
-			cell.Migrations += pr.Migrations
-			cell.ReplayCycles += pr.ReplayCycles
-			switch {
-			case pr.Err != nil:
-				recovered = false
-				badf("%s: %v", pr.Name, pr.Err)
-			case pr.Result == nil || pr.Result.Killed || pr.Result.ExitCode != 0:
-				recovered = false
-				badf("%s: did not exit clean: %+v", pr.Name, pr.Result)
-			case pr.Result.Output != prep.ref.Output:
-				recovered = false
-				badf("%s: output diverged from the single-node run", pr.Name)
-			}
-			if pr.ColdStarts != 0 {
-				badf("%s: %d cold starts with durable checkpoints available", pr.Name, pr.ColdStarts)
-			}
-		}
-		if recovered {
-			cell.Recovered++
-		}
-		if len(tr.reasons) > 0 {
-			cell.Rejected++
-		}
-		for _, reason := range tr.reasons {
-			cell.Reasons[reason]++
-			ok := false
-			for _, want := range exp {
-				if reason == want {
-					ok = true
-				}
-			}
-			if !ok {
-				badf("unexpected rejection reason %q (allowed %v)", reason, exp)
-			}
-		}
-
-		// Per-class contract.
-		totalFailovers := 0
-		for _, pr := range rep.Procs {
-			totalFailovers += pr.Failovers
-		}
-		switch class {
-		case ClusterCrash, ClusterCrashMidMig:
-			if len(rep.NodesDown) == 0 {
-				badf("crashed node was never declared failed")
-			}
-			if totalFailovers == 0 {
-				badf("node crash caused no failovers")
-			}
-		case ClusterReplay, ClusterSpoof:
-			if len(tr.reasons) == 0 {
-				badf("attack delivery was not rejected")
-			}
-			if totalFailovers != 0 {
-				badf("attack delivery disturbed the fleet: %d failovers", totalFailovers)
-			}
-		case ClusterDelay:
-			if len(rep.NodesDown) != 0 {
-				badf("false suspicion: nodes declared down %v", rep.NodesDown)
-			}
-			if totalFailovers != 0 {
-				badf("heartbeat delay caused %d failovers", totalFailovers)
-			}
-			if rep.MissedBeats == 0 {
-				badf("heartbeat delay missed no beats")
-			}
+		for reason, n := range pr.Rejected {
+			o.reject(reason, n)
 		}
 	}
-	if len(cell.Reasons) == 0 {
-		cell.Reasons = nil
+	if recovered {
+		o.Recovery.Recovered = 1
 	}
-	return cell, nil
+	return o
+}
+
+// checkFailover: a crashed node is declared failed and its processes
+// fail over.
+func checkFailover(rep *cluster.FleetReport, o *Outcome) {
+	if len(rep.NodesDown) == 0 {
+		o.fail("crashed node was never declared failed")
+	}
+	if o.Recovery.Failovers == 0 {
+		o.fail("node crash caused no failovers")
+	}
+}
+
+// checkUndisturbed: a refused attack delivery leaves the fleet alone.
+func checkUndisturbed(_ *cluster.FleetReport, o *Outcome) {
+	if o.Recovery.Failovers != 0 {
+		o.fail("attack delivery disturbed the fleet: %d failovers", o.Recovery.Failovers)
+	}
+}
+
+// checkNoSuspicion: a heartbeat delay below the miss threshold misses
+// beats but declares no node failed.
+func checkNoSuspicion(rep *cluster.FleetReport, o *Outcome) {
+	if len(rep.NodesDown) != 0 {
+		o.fail("false suspicion: nodes declared down %v", rep.NodesDown)
+	}
+	if o.Recovery.Failovers != 0 {
+		o.fail("heartbeat delay caused %d failovers", o.Recovery.Failovers)
+	}
+	if rep.MissedBeats == 0 {
+		o.fail("heartbeat delay missed no beats")
+	}
 }
 
 // clusterHook builds the OnTick fault injector for one trial. All
@@ -347,24 +254,4 @@ func clusterHook(class Class, pick uint64, tr *clusterTrial) func(*cluster.Direc
 		}
 	}
 	return func(*cluster.Director, int) {}
-}
-
-// checkClusterParity compares each (class, victim) pair's Deny cell
-// against its Kill sibling; cluster faults never touch the enforcement
-// path, so the two must agree in every field but Mode.
-func checkClusterParity(m *Matrix) {
-	for i := 0; i+1 < len(m.Cluster); i += 2 {
-		deny, kill := &m.Cluster[i], m.Cluster[i+1]
-		if deny.Class != kill.Class || deny.Victim != kill.Victim {
-			deny.Failures = append(deny.Failures, "unpaired cluster cell")
-			continue
-		}
-		a, b := *deny, kill
-		a.Mode, b.Mode = "", ""
-		a.Failures, b.Failures = nil, nil
-		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-			deny.Failures = append(deny.Failures,
-				fmt.Sprintf("mode parity: deny %+v, kill %+v", a, b))
-		}
-	}
 }

@@ -16,20 +16,15 @@
 //     restore with "epoch-replay" and the fallback chain recovers warm
 //     from the older genuine checkpoint.
 //
-// Durable faults live outside the enforcement path, so each cell runs
-// under Kill and Deny and the pair must be identical but for Mode.
+// Durable faults live outside the enforcement path, so a trial's Kill
+// and Deny runs must be identical.
 package fault
 
 import (
 	"fmt"
 
-	"asc/internal/binfmt"
-	"asc/internal/ckpt"
 	"asc/internal/cluster"
-	"asc/internal/core"
 	"asc/internal/durable"
-	"asc/internal/kernel"
-	"asc/internal/workload"
 )
 
 // The durable control-plane fault classes.
@@ -51,201 +46,83 @@ const (
 	DurableDirectorCrash Class = "director-crash-mid-migration"
 )
 
-// DurableClasses returns the durable fault classes in canonical order.
-func DurableClasses() []Class {
-	return []Class{DurableTornTail, DurableRecordFlip, DurableStaleLog,
-		DurableStaleEpoch, DurableDirectorCrash}
-}
-
-// DurableExpectation returns the rejection reasons a class must (and
-// may only) produce. Crash classes produce none: their contract is
-// recovery.
-func DurableExpectation(c Class) []string {
-	switch c {
-	case DurableRecordFlip:
-		return []string{durable.ReasonTamper}
-	case DurableStaleLog:
-		return []string{durable.ReasonReplay}
-	case DurableStaleEpoch:
-		return []string{ckpt.ReasonEpoch}
-	}
-	return nil
-}
-
 // durableDir is where each trial's cluster keeps its control plane.
 const durableDir = "/director"
 
-// runDurableCell runs every trial of one (class, victim, mode) triple
-// on an HA cluster. It reuses ClusterCell: the durable classes check
-// the same zero-loss/canonical-rejection contract one layer down.
-func runDurableCell(cfg Config, class Class, v *workload.FaultVictim, exe *binfmt.File, vi uint64, prep clusterPrep, mode kernel.Enforcement) (ClusterCell, error) {
-	modeName := "kill"
-	if mode == kernel.EnforceDeny {
-		modeName = "deny"
-	}
-	cell := ClusterCell{
-		Class: string(class), Victim: v.Name, Mode: modeName,
-		Trials: cfg.Trials, Reasons: map[string]int{},
-	}
-	exp := DurableExpectation(class)
-
-	for trial := 0; trial < cfg.Trials; trial++ {
-		s := cfg.Seed
-		_ = splitmix(&s)
-		subseed := s ^ vi<<40 ^ uint64(trial)<<8
-		pick := splitmix(&subseed)
-
-		tr := &clusterTrial{}
-		h, err := cluster.NewHA(cluster.HAConfig{
-			Cluster: cluster.Config{
-				Nodes:           clusterFleet,
-				Key:             cfg.Key,
-				Enforcement:     mode,
-				SliceCycles:     prep.slice,
-				CheckpointEvery: int64(prep.slice),
-				HeartbeatEvery:  1,
-				MissThreshold:   3,
-				MaxCycles:       cfg.MaxCycles,
-				DurableDir:      durableDir,
-			},
-			Standby: true,
-			OnTick:  durableHook(cfg, class, pick, tr),
-		})
-		if err != nil {
-			return cell, err
-		}
-		reqs := make([]core.RunRequest, clusterFleet)
-		for i := range reqs {
-			reqs[i] = core.RunRequest{Exe: exe, Name: fmt.Sprintf("v%d", i), Stdin: v.Stdin}
-		}
-		rep, err := h.Run(reqs)
-		if err != nil {
-			return cell, fmt.Errorf("fault: durable %s/%s/%s trial %d: %w", class, v.Name, modeName, trial, err)
-		}
-
-		badf := func(format string, args ...any) {
-			cell.Failures = append(cell.Failures,
-				fmt.Sprintf("trial %d: ", trial)+fmt.Sprintf(format, args...))
-		}
-		for _, msg := range tr.hookErrs {
-			badf("%s", msg)
-		}
-		if tr.fired {
-			cell.Fired++
-		} else {
-			badf("durable fault never fired")
-		}
-		if rep.DirectorLost {
-			badf("director lost despite standby")
-		}
-
-		// Zero loss: every process finishes clean with the reference
-		// output, and the durable store means no recovery is ever cold.
-		recovered := true
-		totalFailovers := 0
-		for _, pr := range rep.Fleet.Procs {
-			cell.Failovers += pr.Failovers
-			cell.WarmRestarts += pr.WarmRestarts
-			cell.ColdStarts += pr.ColdStarts
-			cell.Migrations += pr.Migrations
-			cell.ReplayCycles += pr.ReplayCycles
-			totalFailovers += pr.Failovers
-			switch {
-			case pr.Err != nil:
-				recovered = false
-				badf("%s: %v", pr.Name, pr.Err)
-			case pr.Result == nil || pr.Result.Killed || pr.Result.ExitCode != 0:
-				recovered = false
-				badf("%s: did not exit clean: %+v", pr.Name, pr.Result)
-			case pr.Result.Output != prep.ref.Output:
-				recovered = false
-				badf("%s: output diverged from the single-node run", pr.Name)
+// onDurable is a durable-layer row: the fleet runs on a durable 3-node
+// cluster with a warm standby attached; check holds the class's own
+// contract on the HA report.
+func onDurable(c Class, check func(*cluster.HAReport, *Outcome), reasons ...string) Scenario {
+	return Scenario{Name: c, Layer: LayerDurable, Eligible: checkpointable, Prepare: prepRef,
+		Expect: detects(reasons), Trial: func(t *trial) (Outcome, error) {
+			tr := &clusterTrial{}
+			ccfg, reqs := fleet(t)
+			ccfg.DurableDir = durableDir
+			h, err := cluster.NewHA(cluster.HAConfig{
+				Cluster: ccfg,
+				Standby: true,
+				OnTick:  durableHook(t.cfg, c, t.pick(), tr),
+			})
+			if err != nil {
+				return Outcome{}, err
 			}
-			if pr.ColdStarts != 0 {
-				badf("%s: %d cold starts with a durable control plane", pr.Name, pr.ColdStarts)
+			rep, err := h.Run(reqs)
+			if err != nil {
+				return Outcome{}, err
 			}
-			// The store-stale-epoch rejection surfaces in the fallback
-			// chain's per-process rejection map.
-			for reason, n := range pr.Rejected {
-				for i := 0; i < n; i++ {
-					tr.reasons = append(tr.reasons, reason)
-				}
+			o := fleetOutcome(t, tr, rep.Fleet.Procs)
+			if rep.DirectorLost {
+				o.fail("director lost despite standby")
 			}
-		}
-		if recovered {
-			cell.Recovered++
-		}
-		if len(tr.reasons) > 0 {
-			cell.Rejected++
-		}
-		for _, reason := range tr.reasons {
-			cell.Reasons[reason]++
-			ok := false
-			for _, want := range exp {
-				if reason == want {
-					ok = true
-				}
-			}
-			if !ok {
-				badf("unexpected rejection reason %q (allowed %v)", reason, exp)
-			}
-		}
-
-		// Per-class contract.
-		switch class {
-		case DurableTornTail:
-			if rep.Term != 2 {
-				badf("term %d after director crash, want 2 (one takeover)", rep.Term)
-			}
-			if !rep.WALTorn {
-				badf("takeover did not report the torn WAL tail")
-			}
-			if rep.Reattached+rep.Restored != clusterFleet {
-				badf("takeover accounted for %d of %d processes",
-					rep.Reattached+rep.Restored, clusterFleet)
-			}
-		case DurableRecordFlip, DurableStaleLog:
-			if len(tr.reasons) == 0 {
-				badf("probe was not rejected")
-			}
-			if totalFailovers != 0 {
-				badf("probe disturbed the fleet: %d failovers", totalFailovers)
-			}
-			if rep.Term != 1 {
-				badf("probe caused a takeover: term %d", rep.Term)
-			}
-		case DurableStaleEpoch:
-			if len(tr.reasons) == 0 {
-				badf("stale store epoch was not rejected")
-			}
-			if cellWarm(rep) == 0 {
-				badf("no warm restart after refusing the stale epoch")
-			}
-			if len(rep.Fleet.NodesDown) != 1 {
-				badf("NodesDown = %v, want exactly the crashed owner", rep.Fleet.NodesDown)
-			}
-		case DurableDirectorCrash:
-			if rep.Term != 2 {
-				badf("term %d after director crash, want 2", rep.Term)
-			}
-			if rep.Restored == 0 {
-				badf("mid-migration process was not finished by the takeover")
-			}
-		}
-	}
-	if len(cell.Reasons) == 0 {
-		cell.Reasons = nil
-	}
-	return cell, nil
+			check(rep, &o)
+			return o, nil
+		}}
 }
 
-// cellWarm sums a report's warm restarts.
-func cellWarm(rep *cluster.HAReport) int {
-	n := 0
-	for _, pr := range rep.Fleet.Procs {
-		n += pr.WarmRestarts
+// checkTornTail: the standby takes over once, recovers the torn tail,
+// and accounts for every process.
+func checkTornTail(rep *cluster.HAReport, o *Outcome) {
+	if rep.Term != 2 {
+		o.fail("term %d after director crash, want 2 (one takeover)", rep.Term)
 	}
-	return n
+	if !rep.WALTorn {
+		o.fail("takeover did not report the torn WAL tail")
+	}
+	if rep.Reattached+rep.Restored != clusterFleet {
+		o.fail("takeover accounted for %d of %d processes", rep.Reattached+rep.Restored, clusterFleet)
+	}
+}
+
+// checkProbe: a validation probe on a copy of the on-disk log never
+// disturbs the running fleet.
+func checkProbe(rep *cluster.HAReport, o *Outcome) {
+	if o.Recovery.Failovers != 0 {
+		o.fail("probe disturbed the fleet: %d failovers", o.Recovery.Failovers)
+	}
+	if rep.Term != 1 {
+		o.fail("probe caused a takeover: term %d", rep.Term)
+	}
+}
+
+// checkStaleEpoch: after refusing the stale epoch, the fallback chain
+// recovers the crashed owner's process warm.
+func checkStaleEpoch(rep *cluster.HAReport, o *Outcome) {
+	if o.Recovery.WarmRestarts == 0 {
+		o.fail("no warm restart after refusing the stale epoch")
+	}
+	if len(rep.Fleet.NodesDown) != 1 {
+		o.fail("NodesDown = %v, want exactly the crashed owner", rep.Fleet.NodesDown)
+	}
+}
+
+// checkDirectorCrash: the takeover finishes the mid-migration process.
+func checkDirectorCrash(rep *cluster.HAReport, o *Outcome) {
+	if rep.Term != 2 {
+		o.fail("term %d after director crash, want 2", rep.Term)
+	}
+	if rep.Restored == 0 {
+		o.fail("mid-migration process was not finished by the takeover")
+	}
 }
 
 // durableHook builds the per-trial fault injector. All decisions are a
@@ -382,22 +259,4 @@ func durableHook(cfg Config, class Class, pick uint64, tr *clusterTrial) func(*c
 		}
 	}
 	return func(*cluster.HA, int) {}
-}
-
-// checkDurableParity mirrors checkClusterParity for the durable cells.
-func checkDurableParity(m *Matrix) {
-	for i := 0; i+1 < len(m.Durable); i += 2 {
-		deny, kill := &m.Durable[i], m.Durable[i+1]
-		if deny.Class != kill.Class || deny.Victim != kill.Victim {
-			deny.Failures = append(deny.Failures, "unpaired durable cell")
-			continue
-		}
-		a, b := *deny, kill
-		a.Mode, b.Mode = "", ""
-		a.Failures, b.Failures = nil, nil
-		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-			deny.Failures = append(deny.Failures,
-				fmt.Sprintf("mode parity: deny %+v, kill %+v", a, b))
-		}
-	}
 }

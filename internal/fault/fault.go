@@ -23,6 +23,7 @@ package fault
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"asc/internal/isa"
 	"asc/internal/kernel"
@@ -89,7 +90,8 @@ const (
 	SwapReplay Class = "swap-page-replay"
 )
 
-// Classes returns every fault class in canonical order.
+// Classes returns the Engine's fault classes — the kernel-layer
+// scenarios — in canonical order.
 func Classes() []Class {
 	return []Class{
 		FlipRecord, FlipString, FlipCFState, FlipDescriptor,
@@ -100,81 +102,34 @@ func Classes() []Class {
 	}
 }
 
-// Expect describes the contract a fault class has with the kernel.
+// Expect describes the contract a fault class has with the platform.
 type Expect struct {
 	// Detected: the fault lands inside the MAC-protected surface and
-	// the kernel must flag it (kill in Kill mode, deny + record in Deny
-	// mode) whenever the engine fired.
+	// must be flagged — killed or denied and recorded on the kernel
+	// layer, rejected with a canonical reason above it — whenever it
+	// fired.
 	Detected bool
 	// Deferred: detection happens at a trap after the injection point
 	// (nonce and torn-store faults surface at the next control-flow
 	// check).
 	Deferred bool
-	// Reasons is the set of kill reasons the detection may carry.
-	Reasons []kernel.KillReason
+	// Reasons is the set of kill or rejection reasons a detection may
+	// carry.
+	Reasons []string
 }
 
-// Expectation returns the contract for a class.
+// Expectation returns the contract of any scenario in the registry,
+// and an empty one for an unknown class.
 func Expectation(c Class) Expect {
-	switch c {
-	case FlipRecord, FlipDescriptor:
-		// A record or descriptor flip can surface as a record that no
-		// longer decodes, a call MAC that no longer matches, or — when
-		// the flip redirects a string/pattern bit — a failed argument
-		// check against garbage metadata.
-		return Expect{Detected: true, Reasons: []kernel.KillReason{
-			kernel.KillBadRecord, kernel.KillBadCallMAC,
-			kernel.KillBadString, kernel.KillBadPattern,
-			kernel.KillBadCapability, kernel.KillBadState,
-		}}
-	case FlipString:
-		// The flip window covers the string bytes AND the AS header; the
-		// header's length and MAC fields are bound into the call encoding,
-		// so a header flip surfaces as a call-MAC mismatch (or a malformed
-		// record when the corrupted length makes the read fail) rather
-		// than a string-MAC mismatch. All three are detections.
-		return Expect{Detected: true, Reasons: []kernel.KillReason{
-			kernel.KillBadString, kernel.KillBadCallMAC, kernel.KillBadRecord,
-		}}
-	case FlipCFState:
-		return Expect{Detected: true, Reasons: []kernel.KillReason{kernel.KillBadState}}
-	case FlipCacheGen:
-		return Expect{Detected: false}
-	case DropNonce, DupNonce, TornStore:
-		return Expect{Detected: true, Deferred: true,
-			Reasons: []kernel.KillReason{kernel.KillBadState}}
-	case FlipSockPort:
-		return Expect{Detected: true, Reasons: []kernel.KillReason{kernel.KillBadCallMAC}}
-	case FlipSockMsg:
-		return Expect{Detected: true, Reasons: []kernel.KillReason{kernel.KillBadString}}
-	case ReplaySockCF:
-		return Expect{Detected: true, Deferred: true,
-			Reasons: []kernel.KillReason{kernel.KillBadState}}
-	case FlipPollFD:
-		return Expect{Detected: true, Reasons: []kernel.KillReason{kernel.KillBadCallMAC}}
-	case ReplayPollCF:
-		return Expect{Detected: true, Deferred: true,
-			Reasons: []kernel.KillReason{kernel.KillBadState}}
-	case SwapFlip:
-		// Detection happens at the later fault-in that re-verifies the
-		// frame, not at the eviction that tampered it.
-		return Expect{Detected: true, Deferred: true,
-			Reasons: []kernel.KillReason{kernel.KillSwapSeal}}
-	case SwapReplay:
-		return Expect{Detected: true, Deferred: true,
-			Reasons: []kernel.KillReason{kernel.KillSwapReplay}}
+	if sc, ok := lookup(c); ok {
+		return sc.Expect
 	}
 	return Expect{}
 }
 
 // ReasonAllowed reports whether reason is in the class's allowed set.
-func (e Expect) ReasonAllowed(reason kernel.KillReason) bool {
-	for _, r := range e.Reasons {
-		if r == reason {
-			return true
-		}
-	}
-	return false
+func (e Expect) ReasonAllowed(reason string) bool {
+	return slices.Contains(e.Reasons, reason)
 }
 
 // Engine injects exactly one fault of one class into one process run. It

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"asc/internal/kernel"
@@ -37,14 +38,41 @@ func TestExpectationTable(t *testing.T) {
 		}
 	}
 	exp := Expectation(FlipCFState)
-	if !exp.ReasonAllowed(kernel.KillBadState) {
+	if !exp.ReasonAllowed(string(kernel.KillBadState)) {
 		t.Error("FlipCFState must allow KillBadState")
 	}
-	if exp.ReasonAllowed(kernel.KillBadCallMAC) {
+	if exp.ReasonAllowed(string(kernel.KillBadCallMAC)) {
 		t.Error("FlipCFState must not allow KillBadCallMAC")
 	}
 	if Expectation(Class("no-such-class")).Detected {
 		t.Error("unknown class must have an empty expectation")
+	}
+}
+
+// TestScenarioRegistry checks the registry's internal consistency: one
+// row per name, every row names its layer, every detecting row lists
+// what it may be detected for, and the kernel-layer rows are exactly
+// the Engine's classes in canonical order.
+func TestScenarioRegistry(t *testing.T) {
+	seen := map[Class]bool{}
+	var kernelRows []Class
+	for _, sc := range Scenarios() {
+		if seen[sc.Name] {
+			t.Errorf("scenario %s registered twice", sc.Name)
+		}
+		seen[sc.Name] = true
+		if sc.Layer == "" {
+			t.Errorf("scenario %s names no layer", sc.Name)
+		}
+		if sc.Expect.Detected && len(sc.Expect.Reasons) == 0 {
+			t.Errorf("scenario %s is detected but lists no allowed reason", sc.Name)
+		}
+		if sc.Layer == LayerKernel {
+			kernelRows = append(kernelRows, sc.Name)
+		}
+	}
+	if !slices.Equal(kernelRows, Classes()) {
+		t.Errorf("kernel-layer rows %v, want Classes() %v", kernelRows, Classes())
 	}
 }
 

@@ -26,15 +26,9 @@ go build ./...
 echo "== go test (tier 1) =="
 go test ./...
 
-# The race gate covers the packages that share kernel state across
-# goroutines under the SMP scheduler: the worker pool itself, the
-# kernel's sharded structures (VFS, audit ring, pattern cache, atomic
-# counters), the fleet API, the parallel fault campaign, and the
-# throughput sweep.
+# The race gate's package list lives in the Makefile's race target.
 echo "== go test -race (SMP gate) =="
-go test -race ./internal/sched/... ./internal/kernel/... ./internal/core/... \
-    ./internal/fault/... ./internal/bench/... ./internal/net/... ./internal/workload/... \
-    ./internal/cluster/... ./internal/durable/... ./internal/vm/... ./internal/ckpt/...
+make race
 
 echo "== fuzz smoke (auth-record decoding) =="
 go test -run '^$' -fuzz FuzzAuthRecord -fuzztime 5s ./internal/kernel
