@@ -29,85 +29,22 @@ import (
 	"fmt"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 )
 
-// Blob layout: header (magic, version, epoch), the encoded State, and a
-// trailing CMAC over everything before it.
-const (
-	magic      = "ASCK"
-	version    = 2 // v2: paged-memory section (page table, swap residue)
-	headerSize = 4 + 4 + 8
-	minBlob    = headerSize + mac.Size
-)
-
-// Domain-separation prefixes for the two MAC uses, so a checkpoint seal
-// can never be confused with a program tag (or any policy MAC).
+// Restore failure classes (see package seal, which documents each and
+// maps it to its reason with seal.Reason).
 var (
-	sealPrefix = []byte("asc/ckpt/seal/v1\x00")
-	progPrefix = []byte("asc/ckpt/prog/v1\x00")
-)
-
-// Restore failure classes. Checkpoint consumers classify with Reason.
-var (
-	// ErrTruncated: the blob is too short to hold even a sealed header —
-	// a torn write lost the tail.
-	ErrTruncated = errors.New("ckpt: checkpoint truncated")
-	// ErrSeal: the CMAC over the blob does not verify (bit flip, torn
-	// write, or forgery).
-	ErrSeal = errors.New("ckpt: seal mismatch")
-	// ErrMalformed: the seal verified but the payload does not decode —
-	// an encoder/decoder version skew, never an attack (a sealed blob is
-	// authentic by construction).
-	ErrMalformed = errors.New("ckpt: malformed checkpoint")
-	// ErrEpoch: the sealed epoch is not the one the restorer expected —
-	// a stale checkpoint replayed into a newer slot.
-	ErrEpoch = errors.New("ckpt: epoch mismatch (stale or replayed checkpoint)")
-	// ErrProgram: the sealed program tag belongs to a different
-	// executable — a cross-process checkpoint swap.
-	ErrProgram = errors.New("ckpt: checkpoint sealed for a different program")
-	// ErrState: the blob verified and decoded but the restored state
-	// failed its own re-verification (CF-state MAC, capability set, or
-	// an environment mismatch such as a missing file).
-	ErrState = errors.New("ckpt: restored state failed re-verification")
+	ErrTruncated = seal.ErrTruncated
+	ErrSeal      = seal.ErrSeal
+	ErrMalformed = seal.ErrMalformed
+	ErrEpoch     = seal.ErrEpoch
+	ErrProgram   = seal.ErrProgram
+	ErrState     = seal.ErrState
 	// ErrUnsupported: the live process holds state the checkpoint format
 	// cannot capture (open pipes or sockets).
 	ErrUnsupported = errors.New("ckpt: process state not checkpointable")
 )
-
-// Canonical reason strings for rejection statistics.
-const (
-	ReasonTruncated = "truncated"
-	ReasonSeal      = "seal-mismatch"
-	ReasonMalformed = "malformed"
-	ReasonEpoch     = "epoch-replay"
-	ReasonProgram   = "program-mismatch"
-	ReasonState     = "state-mismatch"
-	ReasonOther     = "other"
-)
-
-// Reason classifies a restore error into a canonical string ("" for nil).
-func Reason(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrTruncated):
-		return ReasonTruncated
-	case errors.Is(err, ErrSeal):
-		return ReasonSeal
-	case errors.Is(err, ErrMalformed):
-		return ReasonMalformed
-	case errors.Is(err, ErrEpoch):
-		return ReasonEpoch
-	case errors.Is(err, ErrProgram):
-		return ReasonProgram
-	case errors.Is(err, ErrState):
-		return ReasonState
-	case errors.Is(err, ErrNode):
-		return ReasonNode
-	default:
-		return ReasonOther
-	}
-}
 
 // SegState is one memory segment: its protection range, its
 // store-generation counter, and its contents.
@@ -210,114 +147,97 @@ type SwapPageState struct {
 // ProgramTag computes the program-binding tag over an executable's
 // deterministic serialization.
 func ProgramTag(k *mac.Keyed, exeBytes []byte) mac.Tag {
-	msg := make([]byte, 0, len(progPrefix)+len(exeBytes))
-	msg = append(msg, progPrefix...)
-	msg = append(msg, exeBytes...)
-	tag, _ := k.Sum(msg)
-	return tag
+	return seal.Program.Tag(k, exeBytes)
 }
 
-// Seal serializes the state and appends the CMAC seal.
+// Seal serializes the state and seals it in the seal.Checkpoint domain:
+// magic, version, epoch, the encoded State, and a trailing CMAC over
+// everything before it.
 func Seal(k *mac.Keyed, s *State) []byte {
-	b := encode(s)
-	msg := make([]byte, 0, len(sealPrefix)+len(b))
-	msg = append(msg, sealPrefix...)
-	msg = append(msg, b...)
-	tag, _ := k.Sum(msg)
-	return append(b, tag[:]...)
+	e := seal.Enc{B: seal.Checkpoint.Begin(0)}
+	encodeState(&e, s)
+	return seal.Checkpoint.Seal(k, e.B)
 }
 
 // Open verifies the seal and decodes the state. The checks run in trust
 // order: length, then seal, then (only over authenticated bytes) the
-// payload decode.
+// header and the payload decode.
 func Open(k *mac.Keyed, blob []byte) (*State, error) {
-	if len(blob) < minBlob {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(blob))
+	p, err := seal.Checkpoint.Open(k, blob, 8) // at least the epoch
+	if err != nil {
+		return nil, err
 	}
-	body := blob[:len(blob)-mac.Size]
-	var tag mac.Tag
-	copy(tag[:], blob[len(blob)-mac.Size:])
-	msg := make([]byte, 0, len(sealPrefix)+len(body))
-	msg = append(msg, sealPrefix...)
-	msg = append(msg, body...)
-	if ok, _ := k.Verify(msg, tag); !ok {
-		return nil, ErrSeal
-	}
-	return DecodeState(body)
+	return decodeState(p)
 }
 
 // SealedEpoch reads the epoch from a blob's header without verifying the
 // seal. It exists for tooling (picking a restore slot); trust decisions
 // must go through Open plus the caller's own epoch expectation.
 func SealedEpoch(blob []byte) (uint64, error) {
-	if len(blob) < headerSize {
+	if len(blob) < seal.HeaderSize+8 {
 		return 0, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(blob))
 	}
-	if string(blob[:4]) != magic {
-		return 0, fmt.Errorf("%w: bad magic", ErrMalformed)
+	p, err := seal.Checkpoint.SealedHeader(blob)
+	if err != nil {
+		return 0, err
 	}
-	if v := binary.LittleEndian.Uint32(blob[4:]); v != version {
-		return 0, fmt.Errorf("%w: version %d", ErrMalformed, v)
-	}
-	return binary.LittleEndian.Uint64(blob[8:]), nil
+	return binary.LittleEndian.Uint64(p), nil
 }
 
-// encode serializes the header and payload (everything the seal covers).
-func encode(s *State) []byte {
-	var e enc
-	e.raw(append([]byte(nil), magic...))
-	e.u32(version)
-	e.u64(s.Epoch)
-	e.raw(s.ProgTag[:])
+// encodeState appends the payload after the header: everything the seal
+// covers.
+func encodeState(e *seal.Enc, s *State) {
+	e.U64(s.Epoch)
+	e.Raw(s.ProgTag[:])
 
-	e.str(s.Name)
-	e.bool(s.Authenticated)
-	e.u32(s.Enforcement)
+	e.Str(s.Name)
+	e.Bool(s.Authenticated)
+	e.U32(s.Enforcement)
 
-	e.u32(uint32(len(s.Regs)))
+	e.U32(uint32(len(s.Regs)))
 	for _, r := range s.Regs {
-		e.u32(r)
+		e.U32(r)
 	}
-	e.u32(s.PC)
-	e.u64(s.Cycles)
-	e.bool(s.Halted)
+	e.U32(s.PC)
+	e.U64(s.Cycles)
+	e.Bool(s.Halted)
 
-	e.u32(s.MemBase)
-	e.u32(s.MemSize)
-	e.u32(s.Brk)
-	e.u32(uint32(len(s.Segs)))
+	e.U32(s.MemBase)
+	e.U32(s.MemSize)
+	e.U32(s.Brk)
+	e.U32(uint32(len(s.Segs)))
 	for i := range s.Segs {
 		sg := &s.Segs[i]
-		e.str(sg.Name)
-		e.u32(sg.Start)
-		e.u32(sg.End)
-		e.u8(sg.Perms)
-		e.u64(sg.Gen)
-		e.bytes(sg.Data)
+		e.Str(sg.Name)
+		e.U32(sg.Start)
+		e.U32(sg.End)
+		e.U8(sg.Perms)
+		e.U64(sg.Gen)
+		e.Bytes(sg.Data)
 	}
 
-	e.u64(s.Counter)
-	e.bool(s.FDTrack)
-	e.u64(s.FDTrackCounter)
+	e.U64(s.Counter)
+	e.Bool(s.FDTrack)
+	e.U64(s.FDTrackCounter)
 
-	e.str(s.Cwd)
-	e.u32(s.Umask)
-	e.bytes(s.Stdin)
-	e.u32(s.StdinPos)
-	e.bytes(s.Stdout)
-	e.u32(s.NumFDSlots)
-	e.u32(uint32(len(s.FDs)))
+	e.Str(s.Cwd)
+	e.U32(s.Umask)
+	e.Bytes(s.Stdin)
+	e.U32(s.StdinPos)
+	e.Bytes(s.Stdout)
+	e.U32(s.NumFDSlots)
+	e.U32(uint32(len(s.FDs)))
 	for i := range s.FDs {
 		fd := &s.FDs[i]
-		e.u32(fd.Slot)
-		e.u32(fd.Kind)
-		e.str(fd.Path)
-		e.u32(fd.Offset)
+		e.U32(fd.Slot)
+		e.U32(fd.Kind)
+		e.Str(fd.Path)
+		e.U32(fd.Offset)
 	}
-	e.u32(uint32(len(s.Sigs)))
+	e.U32(uint32(len(s.Sigs)))
 	for _, sg := range s.Sigs {
-		e.u32(sg.Num)
-		e.u32(sg.Handler)
+		e.U32(sg.Num)
+		e.U32(sg.Handler)
 	}
 
 	for _, v := range []uint64{
@@ -325,94 +245,96 @@ func encode(s *State) []byte {
 		s.DeniedCount, s.AuditedCount,
 		s.CacheHits, s.CacheMisses, s.CacheInvalidations,
 	} {
-		e.u64(v)
+		e.U64(v)
 	}
 
-	e.bool(s.Paged)
+	e.Bool(s.Paged)
 	if s.Paged {
-		e.u32(s.PageBase)
-		e.u32(s.PageHand)
-		e.bytes(s.PageFlags)
-		e.u32(uint32(len(s.PageGens)))
+		e.U32(s.PageBase)
+		e.U32(s.PageHand)
+		e.Bytes(s.PageFlags)
+		e.U32(uint32(len(s.PageGens)))
 		for _, g := range s.PageGens {
-			e.u64(g)
+			e.U64(g)
 		}
-		e.u32(uint32(len(s.SwapPages)))
+		e.U32(uint32(len(s.SwapPages)))
 		for i := range s.SwapPages {
-			e.u32(s.SwapPages[i].Index)
-			e.bytes(s.SwapPages[i].Data)
+			e.U32(s.SwapPages[i].Index)
+			e.Bytes(s.SwapPages[i].Data)
 		}
 	}
-	return e.b
 }
 
-// DecodeState parses an *unsealed* header+payload (a blob without its
-// trailing MAC). It performs no authentication — callers must verify the
-// seal first (Open does) — but is safe on arbitrary input: every length
-// is bounds-checked against the remaining bytes before any allocation,
-// so the fuzzer can feed it garbage without panics or memory blowups.
+// DecodeState parses an *unsealed* header and payload (a blob without
+// its trailing MAC). It performs no authentication — callers must verify
+// the seal first (Open does) — but is safe on arbitrary input: every
+// length is bounds-checked against the remaining bytes before any
+// allocation, so the fuzzer can feed it garbage without panics or memory
+// blowups.
 func DecodeState(b []byte) (*State, error) {
-	d := dec{b: b}
+	p, err := seal.Checkpoint.SealedHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	return decodeState(p)
+}
+
+func decodeState(b []byte) (*State, error) {
+	d := seal.NewDec(b)
 	var s State
-	if string(d.raw(4)) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)
-	}
-	if v := d.u32(); v != version && !d.fail {
-		return nil, fmt.Errorf("%w: version %d", ErrMalformed, v)
-	}
-	s.Epoch = d.u64()
-	copy(s.ProgTag[:], d.raw(mac.Size))
+	s.Epoch = d.U64()
+	copy(s.ProgTag[:], d.Raw(mac.Size))
 
-	s.Name = d.str()
-	s.Authenticated = d.bool()
-	s.Enforcement = d.u32()
+	s.Name = d.Str()
+	s.Authenticated = d.Bool()
+	s.Enforcement = d.U32()
 
-	nregs := d.count(4)
+	nregs := d.Count(4)
 	s.Regs = make([]uint32, 0, nregs)
 	for i := 0; i < nregs; i++ {
-		s.Regs = append(s.Regs, d.u32())
+		s.Regs = append(s.Regs, d.U32())
 	}
-	s.PC = d.u32()
-	s.Cycles = d.u64()
-	s.Halted = d.bool()
+	s.PC = d.U32()
+	s.Cycles = d.U64()
+	s.Halted = d.Bool()
 
-	s.MemBase = d.u32()
-	s.MemSize = d.u32()
-	s.Brk = d.u32()
-	nsegs := d.count(22)
-	for i := 0; i < nsegs && !d.fail; i++ {
+	s.MemBase = d.U32()
+	s.MemSize = d.U32()
+	s.Brk = d.U32()
+	nsegs := d.Count(22)
+	for i := 0; i < nsegs && !d.Failed(); i++ {
 		var sg SegState
-		sg.Name = d.str()
-		sg.Start = d.u32()
-		sg.End = d.u32()
-		sg.Perms = d.u8()
-		sg.Gen = d.u64()
-		sg.Data = d.bytes()
+		sg.Name = d.Str()
+		sg.Start = d.U32()
+		sg.End = d.U32()
+		sg.Perms = d.U8()
+		sg.Gen = d.U64()
+		sg.Data = d.Bytes()
 		s.Segs = append(s.Segs, sg)
 	}
 
-	s.Counter = d.u64()
-	s.FDTrack = d.bool()
-	s.FDTrackCounter = d.u64()
+	s.Counter = d.U64()
+	s.FDTrack = d.Bool()
+	s.FDTrackCounter = d.U64()
 
-	s.Cwd = d.str()
-	s.Umask = d.u32()
-	s.Stdin = d.bytes()
-	s.StdinPos = d.u32()
-	s.Stdout = d.bytes()
-	s.NumFDSlots = d.u32()
-	nfds := d.count(16)
-	for i := 0; i < nfds && !d.fail; i++ {
+	s.Cwd = d.Str()
+	s.Umask = d.U32()
+	s.Stdin = d.Bytes()
+	s.StdinPos = d.U32()
+	s.Stdout = d.Bytes()
+	s.NumFDSlots = d.U32()
+	nfds := d.Count(16)
+	for i := 0; i < nfds && !d.Failed(); i++ {
 		var fd FDState
-		fd.Slot = d.u32()
-		fd.Kind = d.u32()
-		fd.Path = d.str()
-		fd.Offset = d.u32()
+		fd.Slot = d.U32()
+		fd.Kind = d.U32()
+		fd.Path = d.Str()
+		fd.Offset = d.U32()
 		s.FDs = append(s.FDs, fd)
 	}
-	nsigs := d.count(8)
-	for i := 0; i < nsigs && !d.fail; i++ {
-		s.Sigs = append(s.Sigs, SigState{Num: d.u32(), Handler: d.u32()})
+	nsigs := d.Count(8)
+	for i := 0; i < nsigs && !d.Failed(); i++ {
+		s.Sigs = append(s.Sigs, SigState{Num: d.U32(), Handler: d.U32()})
 	}
 
 	for _, p := range []*uint64{
@@ -420,132 +342,33 @@ func DecodeState(b []byte) (*State, error) {
 		&s.DeniedCount, &s.AuditedCount,
 		&s.CacheHits, &s.CacheMisses, &s.CacheInvalidations,
 	} {
-		*p = d.u64()
+		*p = d.U64()
 	}
 
-	s.Paged = d.bool()
+	s.Paged = d.Bool()
 	if s.Paged {
-		s.PageBase = d.u32()
-		s.PageHand = d.u32()
-		s.PageFlags = d.bytes()
-		ngens := d.count(8)
-		if !d.fail && ngens != len(s.PageFlags) {
+		s.PageBase = d.U32()
+		s.PageHand = d.U32()
+		s.PageFlags = d.Bytes()
+		ngens := d.Count(8)
+		if !d.Failed() && ngens != len(s.PageFlags) {
 			return nil, fmt.Errorf("%w: page generation count %d for %d pages",
 				ErrMalformed, ngens, len(s.PageFlags))
 		}
 		s.PageGens = make([]uint64, 0, ngens)
 		for i := 0; i < ngens; i++ {
-			s.PageGens = append(s.PageGens, d.u64())
+			s.PageGens = append(s.PageGens, d.U64())
 		}
-		nswap := d.count(8)
-		for i := 0; i < nswap && !d.fail; i++ {
+		nswap := d.Count(8)
+		for i := 0; i < nswap && !d.Failed(); i++ {
 			var sp SwapPageState
-			sp.Index = d.u32()
-			sp.Data = d.bytes()
+			sp.Index = d.U32()
+			sp.Data = d.Bytes()
 			s.SwapPages = append(s.SwapPages, sp)
 		}
 	}
-	if d.fail {
-		return nil, fmt.Errorf("%w: short payload", ErrMalformed)
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.b)-d.off)
+	if err := d.End(ErrMalformed); err != nil {
+		return nil, err
 	}
 	return &s, nil
-}
-
-// enc is a little-endian appender.
-type enc struct{ b []byte }
-
-func (e *enc) raw(b []byte) { e.b = append(e.b, b...) }
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) bytes(b []byte) { e.u32(uint32(len(b))); e.raw(b) }
-func (e *enc) str(s string)   { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-
-// dec is the matching bounds-checked reader; any overrun latches fail
-// and makes every further read return zeros.
-type dec struct {
-	b    []byte
-	off  int
-	fail bool
-}
-
-func (d *dec) raw(n int) []byte {
-	if d.fail || n < 0 || len(d.b)-d.off < n {
-		d.fail = true
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.raw(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.raw(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.raw(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// bool accepts only the canonical encodings 0 and 1, so decode stays a
-// strict inverse of encode on everything it accepts.
-func (d *dec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail = true
-		return false
-	}
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	b := d.raw(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (d *dec) str() string { return string(d.bytes()) }
-
-// count reads an element count and sanity-checks it against the bytes
-// remaining (each element needs at least minSize bytes), so a forged
-// count cannot drive a huge allocation.
-func (d *dec) count(minSize int) int {
-	n := int(d.u32())
-	if d.fail || n < 0 || n*minSize > len(d.b)-d.off {
-		d.fail = true
-		return 0
-	}
-	return n
 }

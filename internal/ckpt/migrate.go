@@ -21,31 +21,18 @@
 package ckpt
 
 import (
-	"errors"
 	"fmt"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 )
 
-// Envelope layout: magic, version, epoch, src, dst, name, inner blob,
-// trailing CMAC over everything before it.
-const (
-	migMagic      = "ASCM"
-	migVersion    = 1
-	migHeaderSize = 4 + 4 + 8 + 4 + 4
-	minMigBlob    = migHeaderSize + 4 + 4 + mac.Size
-)
+// ErrNode: the envelope is bound to a different destination node.
+var ErrNode = seal.ErrNode
 
-// migPrefix domain-separates the envelope seal from the checkpoint seal
-// and the program tag.
-var migPrefix = []byte("asc/ckpt/mig/v1\x00")
-
-// ErrNode: the envelope is bound to a different destination node — an
-// import under the wrong node identity (node-spoof).
-var ErrNode = errors.New("ckpt: migration bound to a different node")
-
-// ReasonNode is the canonical reason string for ErrNode.
-const ReasonNode = "node-mismatch"
+// migMin is the smallest envelope payload: epoch, src, dst, and the two
+// length prefixes.
+const migMin = 8 + 4 + 4 + 4 + 4
 
 // Migration is one cross-node transfer of a sealed checkpoint.
 type Migration struct {
@@ -56,35 +43,26 @@ type Migration struct {
 	Ckpt  []byte // the inner sealed checkpoint blob
 }
 
-// SealMigration serializes the envelope and appends its CMAC.
+// SealMigration serializes the envelope and seals it in the
+// seal.Migration domain: magic, version, epoch, src, dst, name, inner
+// blob, and a trailing CMAC over everything before it.
 func SealMigration(k *mac.Keyed, m *Migration) []byte {
-	b := encodeMigration(m)
-	msg := make([]byte, 0, len(migPrefix)+len(b))
-	msg = append(msg, migPrefix...)
-	msg = append(msg, b...)
-	tag, _ := k.Sum(msg)
-	return append(b, tag[:]...)
+	e := seal.Enc{B: seal.Migration.Begin(migMin + len(m.Name) + len(m.Ckpt))}
+	encodeMigration(&e, m)
+	return seal.Migration.Seal(k, e.B)
 }
 
 // OpenMigration verifies the envelope seal and decodes it. Checks run
-// in trust order: length, envelope seal, payload decode, and finally
-// the epoch cross-check against the inner sealed header — a mismatch
-// means the envelope was assembled around the wrong checkpoint, which a
-// genuine exporter never does.
+// in trust order: length, envelope seal, header and payload decode, and
+// finally the epoch cross-check against the inner sealed header — a
+// mismatch means the envelope was assembled around the wrong checkpoint,
+// which a genuine exporter never does.
 func OpenMigration(k *mac.Keyed, blob []byte) (*Migration, error) {
-	if len(blob) < minMigBlob {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(blob))
+	p, err := seal.Migration.Open(k, blob, migMin)
+	if err != nil {
+		return nil, err
 	}
-	body := blob[:len(blob)-mac.Size]
-	var tag mac.Tag
-	copy(tag[:], blob[len(blob)-mac.Size:])
-	msg := make([]byte, 0, len(migPrefix)+len(body))
-	msg = append(msg, migPrefix...)
-	msg = append(msg, body...)
-	if ok, _ := k.Verify(msg, tag); !ok {
-		return nil, ErrSeal
-	}
-	m, err := DecodeMigration(body)
+	m, err := decodeMigration(p)
 	if err != nil {
 		return nil, err
 	}
@@ -104,37 +82,27 @@ func OpenMigration(k *mac.Keyed, blob []byte) (*Migration, error) {
 // input: every length is bounds-checked before allocation, so the
 // fuzzer can feed it garbage without panics or memory blowups.
 func DecodeMigration(b []byte) (*Migration, error) {
-	d := dec{b: b}
-	var m Migration
-	if string(d.raw(4)) != migMagic {
-		return nil, fmt.Errorf("%w: bad migration magic", ErrMalformed)
+	p, err := seal.Migration.SealedHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	if v := d.u32(); v != migVersion && !d.fail {
-		return nil, fmt.Errorf("%w: migration version %d", ErrMalformed, v)
-	}
-	m.Epoch = d.u64()
-	m.Src = d.u32()
-	m.Dst = d.u32()
-	m.Name = d.str()
-	m.Ckpt = d.bytes()
-	if d.fail {
-		return nil, fmt.Errorf("%w: short migration payload", ErrMalformed)
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing migration bytes", ErrMalformed, len(d.b)-d.off)
+	return decodeMigration(p)
+}
+
+func decodeMigration(b []byte) (*Migration, error) {
+	d := seal.NewDec(b)
+	m := Migration{Epoch: d.U64(), Src: d.U32(), Dst: d.U32(), Name: d.Str(), Ckpt: d.Bytes()}
+	if err := d.End(ErrMalformed); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }
 
-// encodeMigration serializes the envelope header and payload.
-func encodeMigration(m *Migration) []byte {
-	var e enc
-	e.raw(append([]byte(nil), migMagic...))
-	e.u32(migVersion)
-	e.u64(m.Epoch)
-	e.u32(m.Src)
-	e.u32(m.Dst)
-	e.str(m.Name)
-	e.bytes(m.Ckpt)
-	return e.b
+// encodeMigration appends the envelope payload after the header.
+func encodeMigration(e *seal.Enc, m *Migration) {
+	e.U64(m.Epoch)
+	e.U32(m.Src)
+	e.U32(m.Dst)
+	e.Str(m.Name)
+	e.Bytes(m.Ckpt)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 )
 
 // sampleMigration wraps a genuine inner sealed checkpoint so the
@@ -54,6 +55,7 @@ func TestMigrationRejectsCorruption(t *testing.T) {
 			t.Fatalf("bit %d: err = %v, want ErrSeal", bit, err)
 		}
 	}
+	minMigBlob := seal.HeaderSize + migMin + mac.Size
 	for _, n := range []int{0, 4, minMigBlob - 1, minMigBlob, len(blob) - 1} {
 		_, err := OpenMigration(k, blob[:n])
 		switch {
@@ -114,7 +116,7 @@ func TestMigrationDomainSeparation(t *testing.T) {
 // is malformed, so the seal never covers bytes the decoder ignored.
 func TestDecodeMigrationTrailingBytes(t *testing.T) {
 	k := testKey(t)
-	body := encodeMigration(sampleMigration(k))
+	body := encodeMigrationBlob(sampleMigration(k))
 	if _, err := DecodeMigration(append(body, 0)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
@@ -126,11 +128,11 @@ func TestDecodeMigrationTrailingBytes(t *testing.T) {
 // TestReasonNode: ErrNode classifies as "node-mismatch" through
 // wrapping.
 func TestReasonNode(t *testing.T) {
-	if got := Reason(ErrNode); got != ReasonNode {
-		t.Fatalf("Reason(ErrNode) = %q, want %q", got, ReasonNode)
+	if got := seal.Reason(ErrNode); got != seal.ReasonNode {
+		t.Fatalf("Reason(ErrNode) = %q, want %q", got, seal.ReasonNode)
 	}
 	wrapped := errors.Join(errors.New("ctx"), ErrNode)
-	if got := Reason(wrapped); got != ReasonNode {
-		t.Fatalf("Reason(wrapped) = %q, want %q", got, ReasonNode)
+	if got := seal.Reason(wrapped); got != seal.ReasonNode {
+		t.Fatalf("Reason(wrapped) = %q, want %q", got, seal.ReasonNode)
 	}
 }

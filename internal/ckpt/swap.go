@@ -17,27 +17,21 @@ import (
 	"fmt"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 )
 
-// Swap frame wire format: magic, version, owner, page, gen, data length,
-// data, CMAC over the domain prefix plus everything before the tag.
-const (
-	swapMagic   = "ASSW"
-	swapVersion = 1
-	// magic + version + owner + page + gen + length
-	swapHeaderSize = 4 + 4 + 8 + 4 + 8 + 4
-	minSwapFrame   = swapHeaderSize + mac.Size
-)
-
-var swapPrefix = []byte("asc/swap/seal/v1\x00")
+// swapPayloadSize is a swap frame's payload before the page data: owner,
+// page, gen and data length. The frame is a seal.Swap blob: magic,
+// version, that payload, the data, and a CMAC over everything before it.
+const swapPayloadSize = 8 + 4 + 8 + 4
 
 // Swap frame error classes. ErrSwapSeal covers integrity failures (bit
 // flips, truncation of sealed bytes, wrong owner's frame); ErrSwapStale
 // covers authenticity-of-freshness failures (a genuine frame that is not
 // the latest for its slot — the replay case).
 var (
-	ErrSwapFrame = errors.New("ckpt: malformed swap frame")
-	ErrSwapSeal  = errors.New("ckpt: swap frame seal mismatch")
+	ErrSwapFrame = seal.ErrSwapFrame
+	ErrSwapSeal  = seal.ErrSwapSeal
 	ErrSwapStale = errors.New("ckpt: stale swap frame")
 )
 
@@ -54,62 +48,34 @@ type SwapFrame struct {
 // MAC key; OpenSwapFrame with a nil key skips the seal check
 // symmetrically. Structure and generation checks still apply — an
 // unauthenticated device detects accidents, not adversaries.
-//
-// The frame is built in one buffer behind the domain prefix, so the MAC
-// input needs no second copy; the returned frame is a subslice of it.
 func SealSwapFrame(k *mac.Keyed, f *SwapFrame) []byte {
-	b := make([]byte, 0, len(swapPrefix)+swapHeaderSize+len(f.Data)+mac.Size)
-	b = append(b, swapPrefix...)
-	b = append(b, swapMagic...)
-	b = binary.LittleEndian.AppendUint32(b, swapVersion)
+	b := seal.Swap.Begin(swapPayloadSize + len(f.Data))
 	b = binary.LittleEndian.AppendUint64(b, f.Owner)
 	b = binary.LittleEndian.AppendUint32(b, f.Page)
 	b = binary.LittleEndian.AppendUint64(b, f.Gen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Data)))
-	b = append(b, f.Data...)
-	var tag mac.Tag
-	if k != nil {
-		tag, _ = k.Sum(b)
-	}
-	return append(b, tag[:]...)[len(swapPrefix):]
+	return seal.Swap.Seal(k, append(b, f.Data...))
 }
 
 // OpenSwapFrame verifies blob as the frame for (owner, page) at exactly
-// generation wantGen and returns it. Checks run in trust order: length
-// and magic, then the seal, then — over authenticated bytes only — the
-// binding and freshness comparisons.
+// generation wantGen and returns it. Checks run in trust order: length,
+// then the seal, then the header, then — over authenticated bytes only —
+// the binding and freshness comparisons.
 //
 // The returned frame's Data aliases blob; callers that keep it must not
 // reuse blob.
 func OpenSwapFrame(k *mac.Keyed, owner uint64, page uint32, wantGen uint64, blob []byte) (*SwapFrame, error) {
-	if len(blob) < minSwapFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSwapFrame, len(blob))
-	}
-	if string(blob[:4]) != swapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSwapFrame)
-	}
-	if v := binary.LittleEndian.Uint32(blob[4:]); v != swapVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrSwapFrame, v)
-	}
-	body := blob[:len(blob)-mac.Size]
-	if k != nil {
-		var tag mac.Tag
-		copy(tag[:], blob[len(blob)-mac.Size:])
-		msg := make([]byte, 0, len(swapPrefix)+len(body))
-		msg = append(msg, swapPrefix...)
-		msg = append(msg, body...)
-		if ok, _ := k.Verify(msg, tag); !ok {
-			return nil, ErrSwapSeal
-		}
+	p, err := seal.Swap.Open(k, blob, swapPayloadSize)
+	if err != nil {
+		return nil, err
 	}
 	f := &SwapFrame{
-		Owner: binary.LittleEndian.Uint64(body[8:]),
-		Page:  binary.LittleEndian.Uint32(body[16:]),
-		Gen:   binary.LittleEndian.Uint64(body[20:]),
+		Owner: binary.LittleEndian.Uint64(p),
+		Page:  binary.LittleEndian.Uint32(p[8:]),
+		Gen:   binary.LittleEndian.Uint64(p[12:]),
 	}
-	n := binary.LittleEndian.Uint32(body[28:])
-	if uint64(swapHeaderSize)+uint64(n) != uint64(len(body)) {
-		return nil, fmt.Errorf("%w: data length %d in %d-byte body", ErrSwapFrame, n, len(body))
+	if n := binary.LittleEndian.Uint32(p[20:]); uint64(swapPayloadSize)+uint64(n) != uint64(len(p)) {
+		return nil, fmt.Errorf("%w: data length %d in %d-byte payload", ErrSwapFrame, n, len(p))
 	}
 	if f.Owner != owner || f.Page != page {
 		// A genuine frame in the wrong slot is cross-slot replay.
@@ -119,6 +85,6 @@ func OpenSwapFrame(k *mac.Keyed, owner uint64, page uint32, wantGen uint64, blob
 	if f.Gen != wantGen {
 		return nil, fmt.Errorf("%w: generation %d, kernel expects %d", ErrSwapStale, f.Gen, wantGen)
 	}
-	f.Data = body[swapHeaderSize:len(body):len(body)]
+	f.Data = p[swapPayloadSize:len(p):len(p)]
 	return f, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 )
 
 func swapKey(t *testing.T) *mac.Keyed {
@@ -78,7 +79,7 @@ func TestSwapFrameSealAllocs(t *testing.T) {
 func TestSwapFrameDetectsBitFlip(t *testing.T) {
 	k := swapKey(t)
 	blob := SealSwapFrame(k, testFrame())
-	for _, off := range []int{0, 9, swapHeaderSize + 100, len(blob) - 1} {
+	for _, off := range []int{0, 9, seal.HeaderSize + swapPayloadSize + 100, len(blob) - 1} {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
 		_, err := OpenSwapFrame(k, 42, 7, 3, mut)
@@ -111,7 +112,7 @@ func TestSwapFrameDetectsReplay(t *testing.T) {
 func TestSwapFrameTruncation(t *testing.T) {
 	k := swapKey(t)
 	blob := SealSwapFrame(k, testFrame())
-	for _, n := range []int{0, 4, swapHeaderSize, len(blob) - 1} {
+	for _, n := range []int{0, 4, seal.HeaderSize + swapPayloadSize, len(blob) - 1} {
 		if _, err := OpenSwapFrame(k, 42, 7, 3, blob[:n]); err == nil {
 			t.Fatalf("truncation to %d accepted", n)
 		}

@@ -38,10 +38,10 @@ import (
 	"fmt"
 
 	"asc/internal/binfmt"
-	"asc/internal/ckpt"
 	"asc/internal/core"
 	"asc/internal/kernel"
 	anet "asc/internal/net"
+	"asc/internal/seal"
 	"asc/internal/vfs"
 )
 
@@ -331,17 +331,17 @@ func (nd *Node) reject(c *anet.Conn, reason string) bool {
 func (nd *Node) stage(c *anet.Conn, s *session) bool {
 	s.staged = true
 	if len(s.blob) != s.blobLen {
-		return nd.reject(c, ckpt.ReasonTruncated)
+		return nd.reject(c, seal.ReasonTruncated)
 	}
 	m, err := nd.Sys.Kernel.PeekMigration(s.blob)
 	if err != nil {
-		return nd.reject(c, ckpt.Reason(err))
+		return nd.reject(c, seal.Reason(err))
 	}
 	if m.Dst != uint32(nd.ID) {
-		return nd.reject(c, ckpt.ReasonNode)
+		return nd.reject(c, seal.ReasonNode)
 	}
 	if m.Name != s.name || m.Epoch != s.epoch {
-		return nd.reject(c, ckpt.ReasonMalformed)
+		return nd.reject(c, seal.ReasonMalformed)
 	}
 	nd.staged = &stagedImport{sess: s, epoch: m.Epoch, name: m.Name, blob: s.blob}
 	reply := make([]byte, 0, 12+len(m.Name))
@@ -365,7 +365,7 @@ func (nd *Node) commit(c *anet.Conn, s *session) bool {
 	}
 	p, err := nd.Sys.Kernel.Import(exe, uint32(nd.ID), st.blob, st.epoch)
 	if err != nil {
-		return nd.reject(c, ckpt.Reason(err))
+		return nd.reject(c, seal.Reason(err))
 	}
 	s.committed = true
 	nd.adopted = p

@@ -18,6 +18,7 @@ import (
 	"asc/internal/kernel"
 	anet "asc/internal/net"
 	"asc/internal/policy"
+	"asc/internal/seal"
 	"asc/internal/vfs"
 	"asc/internal/vm"
 	"encoding/binary"
@@ -694,12 +695,12 @@ func (d *Director) replace(pl *placement) {
 	var warmEpoch uint64
 	for _, ent := range pl.store.Chain() {
 		if err := d.fence.Admit(pl.name, ent.Epoch, nd.ID); err != nil {
-			pl.reject(ckpt.Reason(err))
+			pl.reject(seal.Reason(err))
 			continue
 		}
 		r, err := nd.Sys.Kernel.Restore(pl.exe, pl.name, ent.Blob, ent.Epoch)
 		if err != nil {
-			pl.reject(ckpt.Reason(err))
+			pl.reject(seal.Reason(err))
 			continue
 		}
 		p = r

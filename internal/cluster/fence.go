@@ -87,7 +87,7 @@ func (f *Fence) NodeDown(node NodeID) {
 
 // Admit decides whether sealed epoch `epoch` of process `name` may
 // start running on node dst. The returned error wraps ckpt.ErrEpoch so
-// callers classify it with ckpt.Reason (→ "epoch-replay").
+// callers classify it with seal.Reason (→ "epoch-replay").
 func (f *Fence) Admit(name string, epoch uint64, dst NodeID) error {
 	e := f.entries[name]
 	if e == nil || e.admits == 0 || epoch > e.floor {

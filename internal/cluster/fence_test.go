@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asc/internal/ckpt"
+	"asc/internal/seal"
 )
 
 // TestFenceReplayRejected: once an epoch is admitted to a live node,
@@ -23,8 +24,8 @@ func TestFenceReplayRejected(t *testing.T) {
 	if err := f.Admit("p", 2, 1); !errors.Is(err, ckpt.ErrEpoch) {
 		t.Fatalf("older epoch with live owner: err = %v, want ErrEpoch", err)
 	}
-	if got := ckpt.Reason(f.Admit("p", 3, 3)); got != ckpt.ReasonEpoch {
-		t.Fatalf("reason = %q, want %q", got, ckpt.ReasonEpoch)
+	if got := seal.Reason(f.Admit("p", 3, 3)); got != seal.ReasonEpoch {
+		t.Fatalf("reason = %q, want %q", got, seal.ReasonEpoch)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"asc/internal/ckpt"
 	"asc/internal/durable"
 	"asc/internal/kernel"
+	"asc/internal/seal"
 )
 
 // MigrateOpts parameterizes fault injection on a migration. The zero
@@ -216,7 +216,7 @@ func (d *Director) deliver(env []byte, target NodeID, name string, epoch uint64,
 	if err := d.fence.Admit(name, epoch, target); err != nil {
 		_ = c.Send([]byte(msgAbort), nil)
 		nd.serve()
-		return ckpt.Reason(err), nil, nil
+		return seal.Reason(err), nil, nil
 	}
 	if err := c.Send([]byte(msgCommit), nil); err != nil {
 		return "", nil, err

@@ -20,6 +20,7 @@ import (
 	"asc/internal/binfmt"
 	"asc/internal/ckpt"
 	"asc/internal/kernel"
+	"asc/internal/seal"
 	"asc/internal/vm"
 )
 
@@ -82,7 +83,7 @@ type SuperviseStats struct {
 	CheckpointErrors int            // checkpoint attempts that failed (run continues)
 	WarmRestarts     int            // restarts resumed from a verified checkpoint
 	ColdStarts       int            // restarts that fell through the whole chain
-	CkptRejected     map[string]int // restore rejections by ckpt.Reason
+	CkptRejected     map[string]int // restore rejections by seal.Reason
 	ReplayCycles     uint64         // cycles re-executed after warm restarts
 }
 
@@ -159,7 +160,7 @@ func (s *System) attempt(exe *binfmt.File, name, stdin string, cfg SuperviseConf
 				if stats.CkptRejected == nil {
 					stats.CkptRejected = map[string]int{}
 				}
-				stats.CkptRejected[ckpt.Reason(err)]++
+				stats.CkptRejected[seal.Reason(err)]++
 				continue
 			}
 			p = r // stdin travels inside the checkpoint

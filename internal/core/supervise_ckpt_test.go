@@ -5,6 +5,7 @@ import (
 
 	"asc/internal/ckpt"
 	"asc/internal/kernel"
+	"asc/internal/seal"
 )
 
 // TestSuperviseCheckpointWarmRestart: a process that overruns its budget
@@ -104,7 +105,7 @@ func TestSuperviseCheckpointFallbackChain(t *testing.T) {
 	if stats.GaveUp || stats.Final.Output != "done" {
 		t.Fatalf("did not recover: %+v", stats)
 	}
-	if stats.CkptRejected[ckpt.ReasonSeal] == 0 {
+	if stats.CkptRejected[seal.ReasonSeal] == 0 {
 		t.Errorf("rejections = %v, want seal-mismatch", stats.CkptRejected)
 	}
 	if stats.WarmRestarts < 1 {
@@ -157,7 +158,7 @@ func TestSuperviseCheckpointColdStart(t *testing.T) {
 	if stats.ColdStarts != 2 {
 		t.Errorf("cold starts = %d, want 2", stats.ColdStarts)
 	}
-	if stats.CkptRejected[ckpt.ReasonSeal] < 2 {
+	if stats.CkptRejected[seal.ReasonSeal] < 2 {
 		t.Errorf("rejections = %v, want every chain walk to reject", stats.CkptRejected)
 	}
 }

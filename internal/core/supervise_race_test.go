@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"asc/internal/ckpt"
+	"asc/internal/seal"
 )
 
 // TestSuperviseCheckpointWithSiblings hammers the checkpoint path under
@@ -146,7 +147,7 @@ func TestSuperviseFallbackChainSharedStore(t *testing.T) {
 	if stats.GaveUp || stats.Final.Output != "done" {
 		t.Fatalf("did not recover: %+v", stats)
 	}
-	if stats.CkptRejected[ckpt.ReasonSeal] == 0 {
+	if stats.CkptRejected[seal.ReasonSeal] == 0 {
 		t.Errorf("rejections = %v, want seal-mismatch", stats.CkptRejected)
 	}
 	if stats.WarmRestarts < 1 {

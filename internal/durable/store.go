@@ -29,10 +29,7 @@ type Store struct {
 	mu  sync.Mutex
 	fs  *vfs.FS
 	dir string
-	gen uint64 // put-generation counter, persisted across reopen
 }
-
-const genFile = "gen"
 
 // StoreDir locates one process's store under a durable directory.
 func StoreDir(dir, name string) string { return dir + "/store/" + name }
@@ -44,29 +41,12 @@ func EpochPath(dir string, epoch uint64) string {
 }
 
 // OpenStore opens (or creates) the store rooted at dir. Reopening an
-// existing directory — the takeover path — resumes its epochs and
-// generation counter.
+// existing directory — the takeover path — resumes its epochs.
 func OpenStore(fs *vfs.FS, dir string) (*Store, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: store %s: %w", dir, err)
 	}
-	s := &Store{fs: fs, dir: dir}
-	if b, err := fs.ReadFile(dir + "/" + genFile); err == nil && len(b) == 8 {
-		for i := 7; i >= 0; i-- {
-			s.gen = s.gen<<8 | uint64(b[i])
-		}
-	}
-	return s, nil
-}
-
-func (s *Store) writeGen() {
-	b := make([]byte, 8)
-	g := s.gen
-	for i := 0; i < 8; i++ {
-		b[i] = byte(g)
-		g >>= 8
-	}
-	_ = s.fs.WriteFile(s.dir+"/"+genFile, b, 0o644)
+	return &Store{fs: fs, dir: dir}, nil
 }
 
 // epochs returns the stored epochs in ascending order.
@@ -90,8 +70,7 @@ func (s *Store) epochs() []uint64 {
 	return out
 }
 
-// Put writes a checkpoint under a strictly increasing epoch and bumps
-// the persistent generation counter.
+// Put writes a checkpoint under a strictly increasing epoch.
 func (s *Store) Put(epoch uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,8 +81,6 @@ func (s *Store) Put(epoch uint64, blob []byte) error {
 	if err := s.fs.WriteFile(EpochPath(s.dir, epoch), blob, 0o644); err != nil {
 		return fmt.Errorf("durable: store put: %w", err)
 	}
-	s.gen++
-	s.writeGen()
 	return nil
 }
 
@@ -112,14 +89,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.epochs())
-}
-
-// Gen returns the put-generation counter (total Puts over the store's
-// lifetime, surviving reopen — it keeps advancing after pruning).
-func (s *Store) Gen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
 }
 
 // NewestEpoch returns the highest stored epoch (0 when empty).
@@ -160,8 +129,7 @@ func (s *Store) Chain() []ckpt.Entry {
 }
 
 // Prune unlinks every checkpoint file except the newest keep, returning
-// how many were dropped — the generation-counter bound on superseded
-// epochs. keep <= 0 empties the store; keep >= Len is a no-op.
+// how many were dropped — the bound on superseded epochs. keep <= 0 empties the store; keep >= Len is a no-op.
 func (s *Store) Prune(keep int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -27,13 +27,13 @@ func TestStoreSurvivesReopen(t *testing.T) {
 		}
 	}
 	// A fresh handle over the same directory — the takeover path — sees
-	// the same chain and generation counter.
+	// the same chain.
 	s2, err := OpenStore(fs, StoreDir("/director", "p0"))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if s2.Len() != 4 || s2.NewestEpoch() != 4 || s2.Gen() != 4 {
-		t.Fatalf("reopen: len=%d newest=%d gen=%d, want 4/4/4", s2.Len(), s2.NewestEpoch(), s2.Gen())
+	if s2.Len() != 4 || s2.NewestEpoch() != 4 {
+		t.Fatalf("reopen: len=%d newest=%d, want 4/4", s2.Len(), s2.NewestEpoch())
 	}
 	chain := s2.Chain()
 	if len(chain) != 4 || chain[0].Epoch != 4 || string(chain[0].Blob) != "blob-4" {
@@ -45,7 +45,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestStorePruneAndGen(t *testing.T) {
+func TestStorePrune(t *testing.T) {
 	_, s := newStore(t)
 	for i := 1; i <= 6; i++ {
 		if err := s.Put(uint64(i), []byte{byte(i)}); err != nil {
@@ -57,10 +57,6 @@ func TestStorePruneAndGen(t *testing.T) {
 	}
 	if s.Len() != 2 || s.NewestEpoch() != 6 {
 		t.Fatalf("after prune: len=%d newest=%d", s.Len(), s.NewestEpoch())
-	}
-	// The generation counter keeps counting puts despite pruning.
-	if s.Gen() != 6 {
-		t.Fatalf("Gen after prune = %d, want 6", s.Gen())
 	}
 	if got := s.Prune(10); got != 0 {
 		t.Fatalf("Prune(10) dropped %d, want 0", got)

@@ -25,24 +25,15 @@ import (
 	"sync"
 
 	"asc/internal/mac"
+	"asc/internal/seal"
 	"asc/internal/vfs"
 )
 
-const (
-	logMagic    = "ASCW"
-	anchorMagic = "ASCA"
-	version     = 1
-
-	// walPrefix domain-separates record tags from every other CMAC in
-	// the system; anchorPrefix does the same for the anchor seal.
-	walPrefix    = "asc/dir/wal/v1\x00"
-	anchorPrefix = "asc/dir/anchor/v1\x00"
-
-	headerSize = 8 // magic + version
-	// MaxRecord bounds one record body; a frame whose declared length
-	// exceeds it cannot be legitimate and is classified as tampering.
-	MaxRecord = 1 << 20
-)
+// MaxRecord bounds one record body. The log is the seal.WAL header
+// followed by frames — a length prefix, a record body and its chained
+// tag — and a frame whose declared length exceeds MaxRecord cannot be
+// legitimate and is classified as tampering.
+const MaxRecord = 1 << 20
 
 // Kind enumerates the control-plane decisions the WAL records.
 type Kind uint32
@@ -124,14 +115,11 @@ type Record struct {
 	Data   []byte // stdin (place) or output (finish)
 }
 
-// Failure classes. Consumers classify with Reason.
+// Failure classes. ErrTamper and ErrReplay are rejection classes of
+// package seal, which maps them to their reasons.
 var (
-	// ErrTamper: a record's chained tag does not verify, or the anchor
-	// disagrees with the chain it supposedly sealed.
-	ErrTamper = errors.New("durable: WAL tampered")
-	// ErrReplay: the chain verifies but the anchor points past the last
-	// record — a stale snapshot of the log presented as current.
-	ErrReplay = errors.New("durable: stale WAL (anchor ahead of log)")
+	ErrTamper = seal.ErrTamper
+	ErrReplay = seal.ErrReplay
 	// ErrFenced: an append through a handle whose term the anchor has
 	// moved past — a deposed director writing after takeover.
 	ErrFenced = errors.New("durable: log fenced by a newer term")
@@ -140,72 +128,39 @@ var (
 	ErrMalformed = errors.New("durable: malformed WAL record")
 )
 
-// Canonical reason strings for the fault campaign.
-const (
-	ReasonTorn   = "wal-torn"
-	ReasonTamper = "wal-tamper"
-	ReasonReplay = "wal-replay"
-)
-
-// Reason classifies a validation error into a canonical string ("" for
-// nil).
-func Reason(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrTamper):
-		return ReasonTamper
-	case errors.Is(err, ErrReplay):
-		return ReasonReplay
-	default:
-		return "other"
-	}
-}
-
 // LogPath and AnchorPath locate the WAL inside a durable directory.
 func LogPath(dir string) string    { return dir + "/wal.log" }
 func AnchorPath(dir string) string { return dir + "/wal.anchor" }
 
 // EncodeRecord serializes a record body (everything the tag covers).
 func EncodeRecord(r *Record) []byte {
-	var e enc
-	e.u64(r.Seq)
-	e.u32(r.Term)
-	e.u64(r.Tick)
-	e.u32(uint32(r.Kind))
-	e.str(r.Name)
-	e.u32(r.Node)
-	e.u32(r.Node2)
-	e.u64(r.Epoch)
-	e.u64(r.Cycles)
-	e.u32(r.Code)
-	e.u8(r.Flags)
-	e.str(r.Str)
-	e.bytes(r.Data)
-	return e.b
+	var e seal.Enc
+	e.U64(r.Seq)
+	e.U32(r.Term)
+	e.U64(r.Tick)
+	e.U32(uint32(r.Kind))
+	e.Str(r.Name)
+	e.U32(r.Node)
+	e.U32(r.Node2)
+	e.U64(r.Epoch)
+	e.U64(r.Cycles)
+	e.U32(r.Code)
+	e.U8(r.Flags)
+	e.Str(r.Str)
+	e.Bytes(r.Data)
+	return e.B
 }
 
 // DecodeRecord is the strict inverse of EncodeRecord: it fails on
 // overruns, unknown kinds, and trailing bytes, so decode∘encode is the
 // identity on everything it accepts.
 func DecodeRecord(b []byte) (*Record, error) {
-	d := dec{b: b}
-	var r Record
-	r.Seq = d.u64()
-	r.Term = d.u32()
-	r.Tick = d.u64()
-	r.Kind = Kind(d.u32())
-	r.Name = d.str()
-	r.Node = d.u32()
-	r.Node2 = d.u32()
-	r.Epoch = d.u64()
-	r.Cycles = d.u64()
-	r.Code = d.u32()
-	r.Flags = d.u8()
-	r.Str = d.str()
-	r.Data = d.bytes()
-	if d.fail || d.off != len(b) {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrMalformed, len(b))
+	d := seal.NewDec(b)
+	r := Record{Seq: d.U64(), Term: d.U32(), Tick: d.U64(), Kind: Kind(d.U32()),
+		Name: d.Str(), Node: d.U32(), Node2: d.U32(), Epoch: d.U64(), Cycles: d.U64(),
+		Code: d.U32(), Flags: d.U8(), Str: d.Str(), Data: d.Bytes()}
+	if err := d.End(ErrMalformed); err != nil {
+		return nil, err
 	}
 	if r.Kind < 1 || r.Kind > kindMax {
 		return nil, fmt.Errorf("%w: kind %d", ErrMalformed, uint32(r.Kind))
@@ -213,60 +168,34 @@ func DecodeRecord(b []byte) (*Record, error) {
 	return &r, nil
 }
 
-// tagOf chains one record onto its predecessor's tag.
-func tagOf(k *mac.Keyed, prev mac.Tag, body []byte) mac.Tag {
-	msg := make([]byte, 0, len(walPrefix)+mac.Size+len(body))
-	msg = append(msg, walPrefix...)
-	msg = append(msg, prev[:]...)
-	msg = append(msg, body...)
-	tag, _ := k.Sum(msg)
-	return tag
-}
-
 // anchor is the sealed freshness pointer: the newest (term, seq, tag)
-// the director has durably acknowledged.
+// the director has durably acknowledged, sealed as a seal.Anchor blob.
 type anchor struct {
 	Term uint32
 	Seq  uint64
 	Tag  mac.Tag
 }
 
+// anchorSize is the anchor's payload: term, seq and tag.
+const anchorSize = 4 + 8 + mac.Size
+
 func encodeAnchor(k *mac.Keyed, a anchor) []byte {
-	body := make([]byte, 0, 4+4+4+8+mac.Size)
-	body = append(body, anchorMagic...)
-	body = binary.LittleEndian.AppendUint32(body, version)
-	body = binary.LittleEndian.AppendUint32(body, a.Term)
-	body = binary.LittleEndian.AppendUint64(body, a.Seq)
-	body = append(body, a.Tag[:]...)
-	msg := make([]byte, 0, len(anchorPrefix)+len(body))
-	msg = append(msg, anchorPrefix...)
-	msg = append(msg, body...)
-	tag, _ := k.Sum(msg)
-	return append(body, tag[:]...)
+	b := seal.Anchor.Begin(anchorSize)
+	b = binary.LittleEndian.AppendUint32(b, a.Term)
+	b = binary.LittleEndian.AppendUint64(b, a.Seq)
+	return seal.Anchor.Seal(k, append(b, a.Tag[:]...))
 }
 
 func decodeAnchor(k *mac.Keyed, b []byte) (anchor, error) {
-	var a anchor
-	const bodyLen = 4 + 4 + 4 + 8 + mac.Size
-	if len(b) != bodyLen+mac.Size {
-		return a, fmt.Errorf("%w: anchor %d bytes", ErrTamper, len(b))
+	p, err := seal.Anchor.Open(k, b, anchorSize)
+	if err != nil {
+		return anchor{}, fmt.Errorf("anchor: %w", err)
 	}
-	body := b[:bodyLen]
-	var seal mac.Tag
-	copy(seal[:], b[bodyLen:])
-	msg := make([]byte, 0, len(anchorPrefix)+bodyLen)
-	msg = append(msg, anchorPrefix...)
-	msg = append(msg, body...)
-	if ok, _ := k.Verify(msg, seal); !ok {
-		return a, fmt.Errorf("%w: anchor seal", ErrTamper)
+	if len(p) != anchorSize {
+		return anchor{}, fmt.Errorf("%w: anchor payload %d bytes", ErrTamper, len(p))
 	}
-	if string(body[:4]) != anchorMagic || binary.LittleEndian.Uint32(body[4:]) != version {
-		return a, fmt.Errorf("%w: anchor header", ErrTamper)
-	}
-	a.Term = binary.LittleEndian.Uint32(body[8:])
-	a.Seq = binary.LittleEndian.Uint64(body[12:])
-	copy(a.Tag[:], body[20:])
-	return a, nil
+	return anchor{Term: binary.LittleEndian.Uint32(p), Seq: binary.LittleEndian.Uint64(p[4:]),
+		Tag: mac.Tag(p[12:])}, nil
 }
 
 // Log is an open write-ahead log. Safe for one appender plus any number
@@ -293,7 +222,7 @@ func Create(fs *vfs.FS, dir string, key []byte) (*Log, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if err := fs.WriteFile(LogPath(dir), logHeader(), 0o644); err != nil {
+	if err := fs.WriteFile(LogPath(dir), seal.WAL.Header(nil), 0o644); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	l := &Log{fs: fs, key: k, dir: dir, term: 1}
@@ -306,12 +235,6 @@ func Create(fs *vfs.FS, dir string, key []byte) (*Log, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-func logHeader() []byte {
-	h := make([]byte, 0, headerSize)
-	h = append(h, logMagic...)
-	return binary.LittleEndian.AppendUint32(h, version)
 }
 
 func (l *Log) writeAnchor() error {
@@ -362,11 +285,8 @@ func (l *Log) Append(r *Record) error {
 	if len(body) > MaxRecord {
 		return fmt.Errorf("durable: record %d bytes exceeds MaxRecord", len(body))
 	}
-	tag := tagOf(l.key, l.prevTag, body)
-	frame := make([]byte, 0, 4+len(body)+mac.Size)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = append(frame, body...)
-	frame = append(frame, tag[:]...)
+	frame := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(body)+mac.Size), uint32(len(body)))
+	frame, tag := seal.WAL.AppendChained(frame, l.key, l.prevTag, body)
 	if _, err := l.fs.Append(l.node, frame); err != nil {
 		return fmt.Errorf("durable: append: %w", err)
 	}
@@ -402,52 +322,71 @@ type frameInfo struct {
 	rec      *Record
 }
 
-// walkFrames verifies the chain record by record. It returns the sealed
-// frames, torn-tail information, or ErrTamper if a complete frame fails
-// its tag (or the records' seq/term/tick discipline breaks).
+// walker reads a log image frame by frame; it is the one frame walker
+// behind Open, Tear, Frames and the Tailer. It checks the log header,
+// each frame's length and chained tag (a nil key skips the tags), and
+// the records' seq/term/tick discipline.
+type walker struct {
+	k    *mac.Keyed
+	off  int // 0 until the log header has been checked
+	prev mac.Tag
+	seq  uint64
+	term uint32
+	tick uint64
+}
+
+// next returns the next sealed frame of b. ok is false at the end of b,
+// at an incomplete (torn) tail frame, and with an ErrTamper error when a
+// frame fails its checks.
+func (w *walker) next(b []byte) (f frameInfo, ok bool, err error) {
+	if w.off == 0 {
+		if _, err := seal.WAL.SealedHeader(b); err != nil {
+			return f, false, fmt.Errorf("log header: %w", err)
+		}
+		w.off, w.term = seal.HeaderSize, 1
+	}
+	if len(b)-w.off < 4 {
+		return f, false, nil
+	}
+	n := int(binary.LittleEndian.Uint32(b[w.off:]))
+	if n > MaxRecord {
+		return f, false, fmt.Errorf("%w: frame %d declares %d bytes", ErrTamper, w.seq+1, n)
+	}
+	end := w.off + 4 + n + mac.Size
+	if end > len(b) {
+		return f, false, nil
+	}
+	body, tag, err := seal.WAL.OpenChained(w.k, w.prev, b[w.off+4:end])
+	if err != nil {
+		return f, false, fmt.Errorf("record %d: %w", w.seq+1, err)
+	}
+	rec, err := DecodeRecord(body)
+	if err != nil {
+		return f, false, fmt.Errorf("%w: record %d body", ErrTamper, w.seq+1)
+	}
+	if rec.Seq != w.seq+1 || rec.Term < w.term || rec.Tick < w.tick {
+		return f, false, fmt.Errorf("%w: record %d discipline (seq %d term %d tick %d)",
+			ErrTamper, w.seq+1, rec.Seq, rec.Term, rec.Tick)
+	}
+	f = frameInfo{off: w.off, end: end, tag: tag, rec: rec}
+	w.off, w.prev, w.seq, w.term, w.tick = end, tag, rec.Seq, rec.Term, rec.Tick
+	return f, true, nil
+}
+
+// walkFrames walks every sealed frame of a log image. torn reports an
+// incomplete tail frame, which starts at validEnd.
 func walkFrames(k *mac.Keyed, b []byte) (frames []frameInfo, torn bool, validEnd int, err error) {
-	if len(b) < headerSize || string(b[:4]) != logMagic ||
-		binary.LittleEndian.Uint32(b[4:]) != version {
-		return nil, false, 0, fmt.Errorf("%w: log header", ErrTamper)
+	w := walker{k: k}
+	for {
+		f, ok, err := w.next(b)
+		if err != nil {
+			return nil, false, 0, err
+		}
+		if !ok {
+			return frames, w.off < len(b), w.off, nil
+		}
+		frames = append(frames, f)
 	}
-	off := headerSize
-	var prev mac.Tag
-	var seq uint64
-	var term uint32 = 1
-	var tick uint64
-	for off < len(b) {
-		if len(b)-off < 4 {
-			return frames, true, off, nil
-		}
-		n := int(binary.LittleEndian.Uint32(b[off:]))
-		if n > MaxRecord {
-			return nil, false, 0, fmt.Errorf("%w: frame %d declares %d bytes", ErrTamper, seq+1, n)
-		}
-		if len(b)-off-4 < n+mac.Size {
-			return frames, true, off, nil
-		}
-		body := b[off+4 : off+4+n]
-		var got mac.Tag
-		copy(got[:], b[off+4+n:])
-		want := tagOf(k, prev, body)
-		if !want.Equal(got) {
-			return nil, false, 0, fmt.Errorf("%w: record %d tag", ErrTamper, seq+1)
-		}
-		rec, derr := DecodeRecord(body)
-		if derr != nil {
-			return nil, false, 0, fmt.Errorf("%w: record %d body", ErrTamper, seq+1)
-		}
-		if rec.Seq != seq+1 || rec.Term < term || rec.Tick < tick {
-			return nil, false, 0, fmt.Errorf("%w: record %d discipline (seq %d term %d tick %d)",
-				ErrTamper, seq+1, rec.Seq, rec.Term, rec.Tick)
-		}
-		seq, term, tick = rec.Seq, rec.Term, rec.Tick
-		end := off + 4 + n + mac.Size
-		frames = append(frames, frameInfo{off: off, end: end, tag: want, rec: rec})
-		prev = want
-		off = end
-	}
-	return frames, false, off, nil
 }
 
 // ValidateBytes verifies a log image against its anchor image: the
@@ -584,42 +523,30 @@ func Tear(fs *vfs.FS, dir string, key []byte) error {
 	return nil
 }
 
-// Frames returns best-effort frame spans (offset and total length,
-// header and tag included) without verifying anything — fault-injection
-// tooling uses it to aim bit flips at record bodies.
+// Span is one frame's offset and total length, length prefix and tag
+// included.
 type Span struct{ Off, Len int }
 
+// Frames returns the spans of a log image's frames without checking
+// their tags — fault-injection tooling uses it to aim bit flips at
+// record bodies.
 func Frames(b []byte) []Span {
-	var out []Span
-	if len(b) < headerSize {
-		return out
+	frames, _, _, _ := walkFrames(nil, b)
+	spans := make([]Span, len(frames))
+	for i, f := range frames {
+		spans[i] = Span{Off: f.off, Len: f.end - f.off}
 	}
-	off := headerSize
-	for off < len(b) {
-		if len(b)-off < 4 {
-			return out
-		}
-		n := int(binary.LittleEndian.Uint32(b[off:]))
-		if n > MaxRecord || len(b)-off-4 < n+mac.Size {
-			return out
-		}
-		out = append(out, Span{Off: off, Len: 4 + n + mac.Size})
-		off += 4 + n + mac.Size
-	}
-	return out
+	return spans
 }
 
 // Tailer incrementally reads sealed records as an appender grows the
-// log — the standby's view. It verifies the same chain the validator
-// does, stopping (without error) at an incomplete tail frame.
+// log — the standby's view. It walks the same chain, with the same
+// checks, as the validator, stopping (without error) at an incomplete
+// tail frame.
 type Tailer struct {
 	fs  *vfs.FS
-	key *mac.Keyed
 	dir string
-
-	off     int
-	seq     uint64
-	prevTag mac.Tag
+	w   walker
 }
 
 // NewTailer starts a tailer at the beginning of dir's log.
@@ -628,7 +555,7 @@ func NewTailer(fs *vfs.FS, dir string, key []byte) (*Tailer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tailer{fs: fs, key: k, dir: dir, off: headerSize}, nil
+	return &Tailer{fs: fs, dir: dir, w: walker{k: k}}, nil
 }
 
 // Tail returns every record sealed since the previous call. A chain
@@ -638,109 +565,12 @@ func (t *Tailer) Tail() ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if t.off == headerSize {
-		if len(b) < headerSize || string(b[:4]) != logMagic ||
-			binary.LittleEndian.Uint32(b[4:]) != version {
-			return nil, fmt.Errorf("%w: log header", ErrTamper)
-		}
-	}
 	var out []Record
-	for t.off < len(b) {
-		if len(b)-t.off < 4 {
-			break
+	for {
+		f, ok, err := t.w.next(b)
+		if !ok {
+			return out, err
 		}
-		n := int(binary.LittleEndian.Uint32(b[t.off:]))
-		if n > MaxRecord {
-			return out, fmt.Errorf("%w: frame %d declares %d bytes", ErrTamper, t.seq+1, n)
-		}
-		if len(b)-t.off-4 < n+mac.Size {
-			break
-		}
-		body := b[t.off+4 : t.off+4+n]
-		var got mac.Tag
-		copy(got[:], b[t.off+4+n:])
-		want := tagOf(t.key, t.prevTag, body)
-		if !want.Equal(got) {
-			return out, fmt.Errorf("%w: record %d tag", ErrTamper, t.seq+1)
-		}
-		rec, derr := DecodeRecord(body)
-		if derr != nil {
-			return out, fmt.Errorf("%w: record %d body", ErrTamper, t.seq+1)
-		}
-		if rec.Seq != t.seq+1 {
-			return out, fmt.Errorf("%w: record %d seq %d", ErrTamper, t.seq+1, rec.Seq)
-		}
-		out = append(out, *rec)
-		t.seq = rec.Seq
-		t.prevTag = want
-		t.off += 4 + n + mac.Size
+		out = append(out, *f.rec)
 	}
-	return out, nil
 }
-
-// enc is a little-endian appender; dec is the matching bounds-checked
-// reader (the same strict-codec pattern the checkpoint layer uses).
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type dec struct {
-	b    []byte
-	off  int
-	fail bool
-}
-
-func (d *dec) raw(n int) []byte {
-	if d.fail || n < 0 || len(d.b)-d.off < n {
-		d.fail = true
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.raw(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.raw(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.raw(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	b := d.raw(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (d *dec) str() string { return string(d.bytes()) }

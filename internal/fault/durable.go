@@ -25,6 +25,7 @@ import (
 
 	"asc/internal/cluster"
 	"asc/internal/durable"
+	"asc/internal/seal"
 )
 
 // The durable control-plane fault classes.
@@ -176,7 +177,7 @@ func durableHook(cfg Config, class Class, pick uint64, tr *clusterTrial) func(*c
 			flipped[off] ^= 1 << (pick >> 32 % 8)
 			tr.fired = true
 			if _, err := durable.ValidateBytes(cfg.Key, flipped, anchorB); err != nil {
-				tr.reasons = append(tr.reasons, durable.Reason(err))
+				tr.reasons = append(tr.reasons, seal.Reason(err))
 			} else {
 				fail("bit-flipped WAL image validated")
 			}
@@ -208,7 +209,7 @@ func durableHook(cfg Config, class Class, pick uint64, tr *clusterTrial) func(*c
 				// The old image is internally consistent; only the
 				// anchor's freshness can convict it.
 				if _, err := durable.ValidateBytes(cfg.Key, snapped, anchorB); err != nil {
-					tr.reasons = append(tr.reasons, durable.Reason(err))
+					tr.reasons = append(tr.reasons, seal.Reason(err))
 				} else {
 					fail("stale WAL snapshot validated against a fresh anchor")
 				}

@@ -11,8 +11,8 @@ import (
 	"asc/internal/binfmt"
 	"asc/internal/ckpt"
 	"asc/internal/core"
-	"asc/internal/durable"
 	"asc/internal/kernel"
+	"asc/internal/seal"
 	"asc/internal/workload"
 )
 
@@ -87,23 +87,23 @@ var registry = []Scenario{
 	// There is no survivable checkpoint corruption, only detected
 	// corruption. A long torn prefix still covers the 16-byte header
 	// (seal fails); a short one does not even parse.
-	onCkpt(CkptTorn, ckpt.ReasonTruncated, ckpt.ReasonSeal),
-	onCkpt(CkptFlip, ckpt.ReasonSeal),
-	onCkpt(CkptReplay, ckpt.ReasonEpoch),
-	onCkpt(CkptSwap, ckpt.ReasonProgram),
+	onCkpt(CkptTorn, seal.ReasonTruncated, seal.ReasonSeal),
+	onCkpt(CkptFlip, seal.ReasonSeal),
+	onCkpt(CkptReplay, seal.ReasonEpoch),
+	onCkpt(CkptSwap, seal.ReasonProgram),
 
 	// Crash and delay classes reject nothing: their contract is
 	// recovery.
 	onCluster(ClusterCrash, checkFailover),
 	onCluster(ClusterCrashMidMig, checkFailover),
-	onCluster(ClusterReplay, checkUndisturbed, ckpt.ReasonEpoch),
-	onCluster(ClusterSpoof, checkUndisturbed, ckpt.ReasonNode),
+	onCluster(ClusterReplay, checkUndisturbed, seal.ReasonEpoch),
+	onCluster(ClusterSpoof, checkUndisturbed, seal.ReasonNode),
 	onCluster(ClusterDelay, checkNoSuspicion),
 
 	onDurable(DurableTornTail, checkTornTail),
-	onDurable(DurableRecordFlip, checkProbe, durable.ReasonTamper),
-	onDurable(DurableStaleLog, checkProbe, durable.ReasonReplay),
-	onDurable(DurableStaleEpoch, checkStaleEpoch, ckpt.ReasonEpoch),
+	onDurable(DurableRecordFlip, checkProbe, seal.ReasonTamper),
+	onDurable(DurableStaleLog, checkProbe, seal.ReasonReplay),
+	onDurable(DurableStaleEpoch, checkStaleEpoch, seal.ReasonEpoch),
 	onDurable(DurableDirectorCrash, checkDirectorCrash),
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asc/internal/ckpt"
+	"asc/internal/seal"
 	"asc/internal/vfs"
 	"asc/internal/vm"
 )
@@ -109,14 +110,14 @@ func TestImportRejections(t *testing.T) {
 		want   error
 		reason string
 	}{
-		{"node spoof", 3, 5, nil, ckpt.ErrNode, ckpt.ReasonNode},
-		{"epoch mismatch", 2, 6, nil, ckpt.ErrEpoch, ckpt.ReasonEpoch},
+		{"node spoof", 3, 5, nil, ckpt.ErrNode, seal.ReasonNode},
+		{"epoch mismatch", 2, 6, nil, ckpt.ErrEpoch, seal.ReasonEpoch},
 		{"tampered envelope", 2, 5,
 			func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
-			ckpt.ErrSeal, ckpt.ReasonSeal},
+			ckpt.ErrSeal, seal.ReasonSeal},
 		{"truncated envelope", 2, 5,
 			func(b []byte) []byte { return b[:8] },
-			ckpt.ErrTruncated, ckpt.ReasonTruncated},
+			ckpt.ErrTruncated, seal.ReasonTruncated},
 	}
 	for _, tc := range cases {
 		blob := append([]byte(nil), env...)
@@ -127,7 +128,7 @@ func TestImportRejections(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		if got := ckpt.Reason(err); got != tc.reason {
+		if got := seal.Reason(err); got != tc.reason {
 			t.Errorf("%s: reason = %q, want %q", tc.name, got, tc.reason)
 		}
 	}

@@ -98,45 +98,60 @@ func dbl(dst, src *[Size]byte) {
 // simulated kernel uses for deterministic cycle accounting (the cycle model
 // charges a fixed cost per block operation; see internal/kernel).
 func (k *Keyed) Sum(msg []byte) (Tag, int) {
-	s, _ := k.scratch.Get().(*cmacScratch)
-	if s == nil {
-		s = new(cmacScratch)
-	}
+	s := k.get()
 	s.x = [Size]byte{}
-	s.last = [Size]byte{}
-	blocks := 0
-	n := len(msg)
-	// Process all complete blocks except the final one.
-	for n > Size {
-		for i := 0; i < Size; i++ {
-			s.x[i] ^= msg[i]
-		}
-		k.block.Encrypt(s.x[:], s.x[:])
-		blocks++
-		msg = msg[Size:]
-		n -= Size
-	}
-	if n == Size {
-		copy(s.last[:], msg)
-		for i := 0; i < Size; i++ {
-			s.last[i] ^= k.k1[i]
-		}
-	} else {
-		copy(s.last[:], msg)
-		s.last[n] = 0x80
-		for i := 0; i < Size; i++ {
-			s.last[i] ^= k.k2[i]
-		}
-	}
-	for i := 0; i < Size; i++ {
-		s.x[i] ^= s.last[i]
-	}
-	k.block.Encrypt(s.x[:], s.x[:])
-	blocks++
-	var tag Tag
-	copy(tag[:], s.x[:])
+	tag, blocks := k.finish(s, msg)
 	k.scratch.Put(s)
 	return tag, blocks
+}
+
+// chained returns how many leading bytes of an n-byte message CMAC
+// CBC-chains before its final, subkey-masked block.
+func chained(n int) int {
+	if n <= Size {
+		return 0
+	}
+	return (n - 1) / Size * Size
+}
+
+func (k *Keyed) get() *cmacScratch {
+	if s, _ := k.scratch.Get().(*cmacScratch); s != nil {
+		return s
+	}
+	return new(cmacScratch)
+}
+
+// absorb CBC-chains every block of msg, whose length is a multiple of
+// Size, into x and returns the number of blocks.
+func (k *Keyed) absorb(x *[Size]byte, msg []byte) int {
+	for rem := msg; len(rem) > 0; rem = rem[Size:] {
+		for i := 0; i < Size; i++ {
+			x[i] ^= rem[i]
+		}
+		k.block.Encrypt(x[:], x[:])
+	}
+	return len(msg) / Size
+}
+
+// finish is the one CMAC core: from the chaining value in s.x it absorbs
+// every block of msg but the last, then the last block masked with its
+// subkey (K1 when complete, K2 after 10* padding), and returns the tag
+// and the AES block operations performed.
+func (k *Keyed) finish(s *cmacScratch, msg []byte) (Tag, int) {
+	n := chained(len(msg))
+	blocks := k.absorb(&s.x, msg[:n]) + 1
+	s.last = [Size]byte{}
+	tail := copy(s.last[:], msg[n:])
+	sub := &k.k1
+	if tail < Size {
+		s.last[tail] = 0x80
+		sub = &k.k2
+	}
+	for i := 0; i < Size; i++ {
+		s.x[i] ^= s.last[i] ^ sub[i]
+	}
+	k.block.Encrypt(s.x[:], s.x[:])
+	return Tag(s.x), blocks
 }
 
 // Verify recomputes the tag of msg and compares it with want in constant
@@ -177,20 +192,9 @@ func (st *ChainState) Consumed() int { return len(st.prefix) }
 // one block or less there is nothing to hoist and the state is empty.
 func (k *Keyed) Precompute(msg []byte) (*ChainState, int) {
 	st := &ChainState{}
-	n := 0
-	if len(msg) > Size {
-		n = (len(msg) - 1) / Size * Size
-	}
+	n := chained(len(msg))
 	st.prefix = append([]byte(nil), msg[:n]...)
-	blocks := 0
-	for rem := st.prefix; len(rem) > 0; rem = rem[Size:] {
-		for i := 0; i < Size; i++ {
-			st.x[i] ^= rem[i]
-		}
-		k.block.Encrypt(st.x[:], st.x[:])
-		blocks++
-	}
-	return st, blocks
+	return st, k.absorb(&st.x, st.prefix)
 }
 
 // SumFrom computes the CMAC tag of msg, resuming from a precomputed
@@ -203,43 +207,9 @@ func (k *Keyed) SumFrom(st *ChainState, msg []byte) (Tag, int) {
 		subtle.ConstantTimeCompare(msg[:len(st.prefix)], st.prefix) != 1 {
 		return k.Sum(msg)
 	}
-	s, _ := k.scratch.Get().(*cmacScratch)
-	if s == nil {
-		s = new(cmacScratch)
-	}
+	s := k.get()
 	s.x = st.x
-	s.last = [Size]byte{}
-	blocks := 0
-	rem := msg[len(st.prefix):]
-	n := len(rem)
-	for n > Size {
-		for i := 0; i < Size; i++ {
-			s.x[i] ^= rem[i]
-		}
-		k.block.Encrypt(s.x[:], s.x[:])
-		blocks++
-		rem = rem[Size:]
-		n -= Size
-	}
-	if n == Size {
-		copy(s.last[:], rem)
-		for i := 0; i < Size; i++ {
-			s.last[i] ^= k.k1[i]
-		}
-	} else {
-		copy(s.last[:], rem)
-		s.last[n] = 0x80
-		for i := 0; i < Size; i++ {
-			s.last[i] ^= k.k2[i]
-		}
-	}
-	for i := 0; i < Size; i++ {
-		s.x[i] ^= s.last[i]
-	}
-	k.block.Encrypt(s.x[:], s.x[:])
-	blocks++
-	var tag Tag
-	copy(tag[:], s.x[:])
+	tag, blocks := k.finish(s, msg[len(st.prefix):])
 	k.scratch.Put(s)
 	return tag, blocks
 }
@@ -251,44 +221,13 @@ func (k *Keyed) SumFrom(st *ChainState, msg []byte) (Tag, int) {
 // the whole group), which the kernel's cost model reflects with a
 // discounted per-block charge for group-committed verification.
 func (k *Keyed) SumBatch(msgs [][]byte, dst []Tag) ([]Tag, int) {
-	s, _ := k.scratch.Get().(*cmacScratch)
-	if s == nil {
-		s = new(cmacScratch)
-	}
+	s := k.get()
 	total := 0
 	for _, msg := range msgs {
 		s.x = [Size]byte{}
-		s.last = [Size]byte{}
-		n := len(msg)
-		for n > Size {
-			for i := 0; i < Size; i++ {
-				s.x[i] ^= msg[i]
-			}
-			k.block.Encrypt(s.x[:], s.x[:])
-			total++
-			msg = msg[Size:]
-			n -= Size
-		}
-		if n == Size {
-			copy(s.last[:], msg)
-			for i := 0; i < Size; i++ {
-				s.last[i] ^= k.k1[i]
-			}
-		} else {
-			copy(s.last[:], msg)
-			s.last[n] = 0x80
-			for i := 0; i < Size; i++ {
-				s.last[i] ^= k.k2[i]
-			}
-		}
-		for i := 0; i < Size; i++ {
-			s.x[i] ^= s.last[i]
-		}
-		k.block.Encrypt(s.x[:], s.x[:])
-		total++
-		var tag Tag
-		copy(tag[:], s.x[:])
+		tag, blocks := k.finish(s, msg)
 		dst = append(dst, tag)
+		total += blocks
 	}
 	k.scratch.Put(s)
 	return dst, total

@@ -33,6 +33,9 @@ make race
 echo "== fuzz smoke (auth-record decoding) =="
 go test -run '^$' -fuzz FuzzAuthRecord -fuzztime 5s ./internal/kernel
 
+echo "== fuzz smoke (sealed-domain opening) =="
+go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/seal
+
 echo "== fuzz smoke (checkpoint decoding) =="
 go test -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 5s ./internal/ckpt
 
