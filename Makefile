@@ -20,7 +20,7 @@ race:
 		./internal/cluster/... ./internal/durable/... ./internal/vm/... ./internal/ckpt/...
 
 bench:
-	$(GO) test -run '^$$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn' \
+	$(GO) test -run '^$$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn|Checkpoint' \
 		-benchtime 2x ./internal/kernel
 
 # fault runs the deterministic fault-injection campaign — every scenario

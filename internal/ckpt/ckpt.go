@@ -47,14 +47,23 @@ var (
 )
 
 // SegState is one memory segment: its protection range, its
-// store-generation counter, and its contents.
+// store-generation counter, and its contents as runs. A byte no run
+// covers is zero.
 type SegState struct {
 	Name  string
 	Start uint32
 	End   uint32 // exclusive
 	Perms uint8
 	Gen   uint64
-	Data  []byte // End-Start bytes
+	Runs  []Run // in address order, disjoint, inside [Start, End)
+}
+
+// Run is a stretch of a segment's bytes that starts Off bytes after the
+// segment's Start. Capture emits one per stretch of pages holding a
+// nonzero byte.
+type Run struct {
+	Off  uint32
+	Data []byte
 }
 
 // FDState is one open descriptor. Only disk files and console streams
@@ -91,9 +100,13 @@ type State struct {
 	Cycles uint64
 	Halted bool
 
-	// Address space.
+	// Address space. LowLen and HighLen are the lengths of the memory's
+	// two backed regions (vm.Memory.Regions); restore backs exactly those
+	// bytes, so the restored process grows as the captured one would.
 	MemBase uint32
 	MemSize uint32
+	LowLen  uint32
+	HighLen uint32
 	Brk     uint32
 	Segs    []SegState
 
@@ -123,13 +136,14 @@ type State struct {
 	CacheMisses        uint64
 	CacheInvalidations uint64
 
-	// Paged virtual memory (format v2). Paged records whether the process
-	// ran on a demand-paged kernel; the remaining fields describe its
-	// mmap-arena page table and the swap residue of evicted pages. The
-	// arena's *resident* contents travel inside the ordinary segment
-	// capture; SwapPages carries the evicted pages' plaintext (verified
-	// against their sealed frames at capture time) so a restore can
-	// re-seal them under the restored process's identity.
+	// Paged virtual memory. Paged records whether the process ran on a
+	// demand-paged kernel; the remaining fields describe its mmap-arena
+	// page table and the swap residue of evicted pages. The arena's
+	// *resident* contents travel as runs of the ordinary segment capture
+	// (evicted pages are zero-scrubbed, so they yield none); SwapPages
+	// carries the evicted pages' plaintext (verified against their sealed
+	// frames at capture time) so a restore can re-seal them under the
+	// restored process's identity.
 	Paged     bool
 	PageBase  uint32
 	PageHand  uint32
@@ -204,6 +218,8 @@ func encodeState(e *seal.Enc, s *State) {
 
 	e.U32(s.MemBase)
 	e.U32(s.MemSize)
+	e.U32(s.LowLen)
+	e.U32(s.HighLen)
 	e.U32(s.Brk)
 	e.U32(uint32(len(s.Segs)))
 	for i := range s.Segs {
@@ -213,7 +229,11 @@ func encodeState(e *seal.Enc, s *State) {
 		e.U32(sg.End)
 		e.U8(sg.Perms)
 		e.U64(sg.Gen)
-		e.Bytes(sg.Data)
+		e.U32(uint32(len(sg.Runs)))
+		for _, r := range sg.Runs {
+			e.U32(r.Off)
+			e.Bytes(r.Data)
+		}
 	}
 
 	e.U64(s.Counter)
@@ -300,8 +320,14 @@ func decodeState(b []byte) (*State, error) {
 
 	s.MemBase = d.U32()
 	s.MemSize = d.U32()
+	s.LowLen = d.U32()
+	s.HighLen = d.U32()
+	if uint64(s.LowLen)+uint64(s.HighLen) > uint64(s.MemSize) {
+		return nil, fmt.Errorf("%w: regions of %d and %d bytes in a %d-byte space",
+			ErrMalformed, s.LowLen, s.HighLen, s.MemSize)
+	}
 	s.Brk = d.U32()
-	nsegs := d.Count(22)
+	nsegs := d.Count(25)
 	for i := 0; i < nsegs && !d.Failed(); i++ {
 		var sg SegState
 		sg.Name = d.Str()
@@ -309,7 +335,23 @@ func decodeState(b []byte) (*State, error) {
 		sg.End = d.U32()
 		sg.Perms = d.U8()
 		sg.Gen = d.U64()
-		sg.Data = d.Bytes()
+		nruns := d.Count(8)
+		var next uint64 // the lowest offset the next run may start at
+		for j := 0; j < nruns && !d.Failed(); j++ {
+			r := Run{Off: d.U32(), Data: d.Bytes()}
+			end := uint64(r.Off) + uint64(len(r.Data))
+			switch {
+			case d.Failed():
+			case uint64(r.Off) < next:
+				return nil, fmt.Errorf("%w: segment %s: run at +%#x overlaps or precedes the run before it",
+					ErrMalformed, sg.Name, r.Off)
+			case sg.End < sg.Start || end > uint64(sg.End-sg.Start):
+				return nil, fmt.Errorf("%w: segment %s: run [+%#x,+%#x) passes the segment's end",
+					ErrMalformed, sg.Name, r.Off, end)
+			}
+			next = end
+			sg.Runs = append(sg.Runs, r)
+		}
 		s.Segs = append(s.Segs, sg)
 	}
 

@@ -32,10 +32,15 @@ func sampleState() *State {
 		Cycles:        123456,
 		MemBase:       0x1000_0000,
 		MemSize:       4 << 20,
+		LowLen:        0x4000,
+		HighLen:       0x2000,
 		Brk:           0x1000_3000,
 		Segs: []SegState{
-			{Name: ".text", Start: 0x1000_0000, End: 0x1000_0040, Perms: 5, Gen: 0, Data: bytes.Repeat([]byte{0xaa}, 0x40)},
+			{Name: ".text", Start: 0x1000_0000, End: 0x1000_0040, Perms: 5, Gen: 0,
+				Runs: []Run{{Off: 0, Data: bytes.Repeat([]byte{0xaa}, 0x40)}}},
 			{Name: "heap", Start: 0x1000_3000, End: 0x1000_3000, Perms: 3, Gen: 2},
+			{Name: "stack", Start: 0x103c_0000, End: 0x1040_0000, Perms: 7, Gen: 3,
+				Runs: []Run{{Off: 0x3_e000, Data: []byte{1}}, {Off: 0x3_f000, Data: []byte{2, 3}}}},
 		},
 		Counter:        9,
 		FDTrack:        true,
@@ -221,14 +226,15 @@ func TestStoreTamperHook(t *testing.T) {
 	}
 }
 
-// goldenState is a small v2 state touching every section of the
+// goldenState is a small v3 state touching every section of the
 // format, the paged section included.
 func goldenState() *State {
 	return &State{
 		Epoch: 3, ProgTag: mac.Tag{0xa5}, Name: "g", Authenticated: true, Enforcement: 1,
 		Regs: []uint32{1, 2}, PC: 0x40, Cycles: 99,
-		MemBase: 0x1000, MemSize: 0x2000, Brk: 0x1800,
-		Segs:    []SegState{{Name: "d", Start: 0x1000, End: 0x1004, Perms: 3, Gen: 5, Data: []byte{9, 8, 7, 6}}},
+		MemBase: 0x1000, MemSize: 0x2000, LowLen: 0x1000, HighLen: 0x800, Brk: 0x1800,
+		Segs: []SegState{{Name: "d", Start: 0x1000, End: 0x1010, Perms: 3, Gen: 5,
+			Runs: []Run{{Off: 0, Data: []byte{9, 8}}, {Off: 0xc, Data: []byte{7, 6}}}}},
 		Counter: 4, FDTrack: true, FDTrackCounter: 2,
 		Cwd: "/", Umask: 0o22, Stdin: []byte("i"), StdinPos: 1, Stdout: []byte("o"), NumFDSlots: 2,
 		FDs:          []FDState{{Slot: 1, Kind: 1, Path: "/f", Offset: 3}},
@@ -240,15 +246,16 @@ func goldenState() *State {
 }
 
 // goldenCkpt is the sealed hex of goldenState under testKey.
-const goldenCkpt = "4153434b020000000300000000000000a500000000000000000000000000000001000000" +
+const goldenCkpt = "4153434b030000000300000000000000a500000000000000000000000000000001000000" +
 	"670101000000020000000100000002000000400000006300000000000000000010000000" +
-	"200000001800000100000001000000640010000004100000030500000000000000040000" +
-	"00090807060400000000000000010200000000000000010000002f120000000100000069" +
-	"01000000010000006f02000000010000000100000001000000020000002f660300000001" +
-	"000000020000008000000007000000000000000600000000000000000000000000000000" +
-	"000000000000000000000000000000000000000000000000000000000000000000000000" +
-	"000000010018000001000000020000000100020000000000000000000000020000000000" +
-	"00000100000001000000020000000505ea8de183b2b22b363b260501e91021ed"
+	"200000001000000008000000180000010000000100000064001000001010000003050000" +
+	"000000000002000000000000000200000009080c00000002000000070604000000000000" +
+	"00010200000000000000010000002f12000000010000006901000000010000006f020000" +
+	"00010000000100000001000000020000002f660300000001000000020000008000000007" +
+	"000000000000000600000000000000000000000000000000000000000000000000000000" +
+	"000000000000000000000000000000000000000000000000000000010018000001000000" +
+	"020000000100020000000000000000000000020000000000000001000000010000000200" +
+	"00000505c48246e910ae7aabe3a1758e51a40349"
 
 // TestSealedGolden pins the wire bytes of a sealed checkpoint, a program
 // tag and a migration envelope, so a change to how they are built cannot
@@ -264,7 +271,50 @@ func TestSealedGolden(t *testing.T) {
 	}
 	env := SealMigration(k, &Migration{Epoch: 3, Src: 1, Dst: 2, Name: "g", Ckpt: ck})
 	if got, want := hex.EncodeToString(env), "4153434d01000000030000000000000001000000020000000100000067"+
-		"40010000"+goldenCkpt+"6d061e47dd65634c48e1cce098238e2f"; got != want {
+		"58010000"+goldenCkpt+"be3d567c8f08be46e9aed2d711955ae1"; got != want {
 		t.Errorf("migration envelope = %s, want %s", got, want)
+	}
+}
+
+// TestDecodeRejectsBadLayout: runs that overlap, go backwards or pass
+// their segment's end, and regions that overflow the address space, are
+// malformed; adjacent runs and regions that fill the space are not.
+func TestDecodeRejectsBadLayout(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(s *State)
+		ok   bool
+	}{
+		{"overlapping runs", func(s *State) {
+			s.Segs[0].Runs = []Run{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 2, Data: []byte{5}}}
+		}, false},
+		{"backwards runs", func(s *State) {
+			s.Segs[0].Runs = []Run{{Off: 8, Data: []byte{1}}, {Off: 0, Data: []byte{2}}}
+		}, false},
+		{"run past End", func(s *State) {
+			s.Segs[0].Runs = []Run{{Off: 0xc, Data: []byte{1, 2, 3, 4, 5}}}
+		}, false},
+		{"run past End of an inverted segment", func(s *State) {
+			s.Segs[0].End = s.Segs[0].Start - 1
+		}, false},
+		{"regions exceed MemSize", func(s *State) { s.LowLen, s.HighLen = 0x1800, 0x801 }, false},
+		{"adjacent runs", func(s *State) {
+			s.Segs[0].Runs = []Run{{Off: 0, Data: []byte{1, 2}}, {Off: 2, Data: []byte{3}}}
+		}, true},
+		{"run ending at End", func(s *State) {
+			s.Segs[0].Runs = []Run{{Off: 0xf, Data: []byte{1}}}
+		}, true},
+		{"regions fill MemSize", func(s *State) { s.LowLen, s.HighLen = 0x2000, 0 }, true},
+	}
+	for _, tc := range cases {
+		s := goldenState()
+		tc.edit(s)
+		_, err := DecodeState(encode(s))
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, err)
+		}
 	}
 }

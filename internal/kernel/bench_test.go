@@ -266,3 +266,40 @@ func BenchmarkVerifyAllocs(b *testing.B) {
 		restore()
 	}
 }
+
+// BenchmarkCheckpoint measures one sealed checkpoint and its restore per
+// op, for the getpid loop on a flat kernel and for a paged process at a
+// budget of 16 pages, and reports the blob size. A fresh kernel and
+// process replace the restored ones every 256 ops, off the clock.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, paged := range []bool{false, true} {
+		name := "flat"
+		if paged {
+			name = "paged"
+		}
+		b.Run(name, func(b *testing.B) {
+			var k *Kernel
+			var p *Process
+			var blob []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 0 {
+					b.StopTimer()
+					k, p = ckptSizeProc(b, paged)
+					b.StartTimer()
+				}
+				var err error
+				if blob, err = k.Checkpoint(p, uint64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+				r, err := k.Restore(p.file, "bench", blob, uint64(i+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				k.unregister(r)
+			}
+			b.ReportMetric(float64(len(blob))/1024, "blob_KiB")
+		})
+	}
+}

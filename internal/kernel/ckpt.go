@@ -107,26 +107,20 @@ func (k *Kernel) Checkpoint(p *Process, epoch uint64) ([]byte, error) {
 		st.FDTrackCounter = p.fdTracker.Counter()
 	}
 
+	// Memory is captured raw, as runs of the pages that hold a nonzero
+	// byte: the walk neither grows the address space nor goes through the
+	// paged accessors, which would thrash the working set (and fault on
+	// unmapped pages). Evicted arena pages are zero-scrubbed, so they
+	// yield no run; their contents travel in the paged section below.
+	st.LowLen, st.HighLen = p.Mem.Regions()
 	segs, gens := p.Mem.SnapshotSegments()
 	st.Segs = make([]ckpt.SegState, len(segs))
 	for i, sg := range segs {
-		// The mmap arena is captured raw: resident pages carry their live
-		// bytes, evicted pages read as the zero scrub. Going through the
-		// paged accessors here would thrash the working set (and fault on
-		// unmapped pages); the evicted contents travel in the paged
-		// section below instead.
-		read := p.Mem.KernelRead
-		if p.pager != nil && sg.Name == "mmap" {
-			read = p.Mem.RawRead
-		}
-		data, err := read(sg.Start, sg.End-sg.Start)
-		if err != nil {
-			return nil, fmt.Errorf("kernel: checkpoint segment %s: %w", sg.Name, err)
-		}
-		st.Segs[i] = ckpt.SegState{
-			Name: sg.Name, Start: sg.Start, End: sg.End, Perms: sg.Perms,
-			Gen: gens[i], Data: append([]byte(nil), data...),
-		}
+		s := ckpt.SegState{Name: sg.Name, Start: sg.Start, End: sg.End, Perms: sg.Perms, Gen: gens[i]}
+		p.Mem.NonzeroRuns(sg.Start, sg.End, func(addr uint32, b []byte) {
+			s.Runs = append(s.Runs, ckpt.Run{Off: addr - sg.Start, Data: append([]byte(nil), b...)})
+		})
+		st.Segs[i] = s
 	}
 
 	if err := k.checkpointPaging(p, st); err != nil {
@@ -353,30 +347,34 @@ func (k *Kernel) overlay(p *Process, st *ckpt.State) error {
 		return statef("paged=%v, spawned on a kernel with paged=%v", st.Paged, p.pager != nil)
 	}
 
-	// Memory: write each segment's bytes, then install the protection
-	// map and generation counters wholesale.
+	// Memory: back exactly the captured regions, zeroed — so every byte
+	// of the spawned image that no run restores reads zero — then write
+	// each segment's runs, and install the protection map and generation
+	// counters wholesale.
+	if err := p.Mem.ResetRegions(st.LowLen, st.HighLen); err != nil {
+		return statef("%v", err)
+	}
 	segs := make([]vm.Segment, len(st.Segs))
 	gens := make([]uint64, len(st.Segs))
 	for i := range st.Segs {
 		sg := &st.Segs[i]
-		if sg.End < sg.Start || uint32(len(sg.Data)) != sg.End-sg.Start {
-			return statef("segment %s: %d data bytes for [%#x,%#x)", sg.Name, len(sg.Data), sg.Start, sg.End)
+		// The arena's runs were captured raw; restore them the same way.
+		// The torn-write fault class depends on every other segment going
+		// through the checked KernelWrite path.
+		write := p.Mem.KernelWrite
+		if p.pager != nil && sg.Name == "mmap" {
+			write = p.Mem.RawWrite
 		}
-		if len(sg.Data) > 0 {
-			// The arena bytes were captured raw (resident contents plus
-			// zero scrub); restore them the same way. The torn-write
-			// fault class depends on every other segment going through
-			// the checked KernelWrite path.
-			write := p.Mem.KernelWrite
-			if p.pager != nil && sg.Name == "mmap" {
-				write = p.Mem.RawWrite
-			}
-			if err := write(sg.Start, sg.Data); err != nil {
+		for _, r := range sg.Runs {
+			if err := write(sg.Start+r.Off, r.Data); err != nil {
 				return statef("segment %s: %v", sg.Name, err)
 			}
 		}
 		segs[i] = vm.Segment{Name: sg.Name, Start: sg.Start, End: sg.End, Perms: sg.Perms}
 		gens[i] = sg.Gen
+	}
+	if low, high := p.Mem.Regions(); low != st.LowLen || high != st.HighLen {
+		return statef("runs outside the captured regions of %d and %d bytes", st.LowLen, st.HighLen)
 	}
 	if err := p.Mem.RestoreSegments(segs, gens); err != nil {
 		return statef("%v", err)

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"asc/internal/binfmt"
@@ -259,4 +261,278 @@ func TestCheckpointUnsupportedFDs(t *testing.T) {
 	if _, err := k.Checkpoint(p, 1); !errors.Is(err, ckpt.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
+}
+
+// ckptPagedSrc maps 32 arena pages, writes one word into each, and then
+// calls getpid forever. At a budget of 16 resident pages, once it spins
+// half its pages are resident, half are swap residue, and the rest of
+// the arena was never touched.
+const ckptPagedSrc = `
+        .text
+        .global main
+main:
+        MOVI r1, 0
+        MOVI r2, 131072
+        MOVI r3, 3
+        MOVI r4, 0x22
+        MOVI r5, 0
+        CALL mmap
+        MOV r8, r0
+        MOVI r11, 32
+.page:
+        STORE [r8+0], r11
+        ADDI r8, r8, 4096
+        ADDI r11, r11, -1
+        MOVI r9, 0
+        BNE r11, r9, .page
+.spin:
+        CALL getpid
+        JMP .spin
+`
+
+// spinPaged spawns ckptPagedSrc on k and runs it into its getpid loop.
+func spinPaged(t testing.TB, k *Kernel, exe *binfmt.File) *Process {
+	t.Helper()
+	p, err := k.Spawn(exe, "paged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(p, 2_000_000); !errors.Is(err, vm.ErrCycleLimit) {
+		t.Fatalf("paged run: err = %v, want cycle limit", err)
+	}
+	if _, evicts, _ := p.PageStats(); evicts < 16 || p.pager.resident == 0 {
+		t.Fatalf("paged run: %d evictions, %d resident; want residue and resident pages", evicts, p.pager.resident)
+	}
+	return p
+}
+
+// assertSameMemory fails unless r's address space is p's: the same two
+// region lengths and raw bytes in each (so every byte of [Base, Limit)
+// matches, the unbacked gap reading zero in both), the same segments and
+// store generations, and the same page table and swap generations.
+func assertSameMemory(t *testing.T, p, r *Process) {
+	t.Helper()
+	pl, ph := p.Mem.Regions()
+	if rl, rh := r.Mem.Regions(); rl != pl || rh != ph {
+		t.Fatalf("restored regions %d+%d bytes, live %d+%d", rl, rh, pl, ph)
+	}
+	for _, span := range [][2]uint32{{p.Mem.Base(), pl}, {p.Mem.Limit() - ph, ph}} {
+		want, err := p.Mem.RawRead(span[0], span[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Mem.RawRead(span[0], span[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("byte %#x: restored %#x, live %#x", span[0]+uint32(i), got[i], want[i])
+		}
+	}
+	psegs, pgens := p.Mem.SnapshotSegments()
+	rsegs, rgens := r.Mem.SnapshotSegments()
+	if !reflect.DeepEqual(rsegs, psegs) || !reflect.DeepEqual(rgens, pgens) {
+		t.Fatalf("segments %v gens %v, live %v gens %v", rsegs, rgens, psegs, pgens)
+	}
+	if (p.pager == nil) != (r.pager == nil) {
+		t.Fatalf("paged: restored %v, live %v", r.pager != nil, p.pager != nil)
+	}
+	if p.pager == nil {
+		return
+	}
+	for i := 0; i < p.pager.pt.NumPages(); i++ {
+		if f, g := r.pager.pt.Flags(i), p.pager.pt.Flags(i); f != g {
+			t.Fatalf("page %d flags %#x, live %#x", i, f, g)
+		}
+	}
+	if !reflect.DeepEqual(r.pager.gens, p.pager.gens) {
+		t.Fatalf("page generations %v, live %v", r.pager.gens, p.pager.gens)
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestCheckpointDifferential: a checkpoint taken after accesses that
+// shape the address space every way it can be shaped restores to the
+// same bytes, segments, generations and page state as the live process,
+// with the same two region lengths; and taking it leaves the live
+// process's regions as they were.
+func TestCheckpointDifferential(t *testing.T) {
+	plain := buildExe(t, ckptLoopSrc)
+	stackStart := uint32(binfmt.TextBase + DefaultMemSize - DefaultStackSize)
+	write := func(t *testing.T, p *Process, addr uint32, b []byte) {
+		t.Helper()
+		if err := p.Mem.UserWrite(addr, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	brk := func(t *testing.T, k *Kernel, p *Process, addr uint32) {
+		t.Helper()
+		if got := k.sysBrk(p, addr); got != addr {
+			t.Fatalf("brk(%#x) = %#x", addr, got)
+		}
+	}
+	cases := []struct {
+		name  string
+		paged bool
+		shape func(t *testing.T, k *Kernel, p *Process)
+		check func(t *testing.T, p *Process)
+	}{
+		{name: "low and high", shape: func(t *testing.T, k *Kernel, p *Process) {
+			brk(t, k, p, p.brk+0x4000)
+			write(t, p, p.brk-0x10, []byte{1, 2, 3})
+			write(t, p, p.Mem.Limit()-8, []byte{4})
+			write(t, p, p.Mem.Limit()-0x7000, []byte{5}) // zero pages between two stack runs
+		}},
+		{name: "gap", shape: func(t *testing.T, k *Kernel, p *Process) {
+			brk(t, k, p, stackStart-0x1000)
+			write(t, p, stackStart-0x20_0000, []byte{6})
+			write(t, p, stackStart+0x100, []byte{7})
+		}, check: func(t *testing.T, p *Process) {
+			if low, high := p.Mem.Regions(); low+high >= DefaultMemSize {
+				t.Fatalf("regions %d+%d leave no gap", low, high)
+			}
+		}},
+		{name: "straddle collapses to flat", shape: func(t *testing.T, k *Kernel, p *Process) {
+			brk(t, k, p, stackStart-1)
+			write(t, p, heapStartOf(p)+0x2000, []byte{8}) // low reaches into the heap
+			write(t, p, p.brk-0x2_0000, []byte{9})        // high reaches into the heap
+			write(t, p, stackStart+8, []byte{10})
+			low, high := p.Mem.Regions()
+			lowEnd, highStart := p.Mem.Base()+low, p.Mem.Limit()-high
+			// One store across the gap; the byte at stackStart-1 lies in
+			// no segment, so it stays zero.
+			span := make([]byte, highStart-lowEnd+32)
+			copy(span, "straddle")
+			copy(span[len(span)-8:], "straddle")
+			write(t, p, lowEnd-16, span)
+		}, check: func(t *testing.T, p *Process) {
+			if low, high := p.Mem.Regions(); low != DefaultMemSize || high != 0 {
+				t.Fatalf("regions %d+%d, want flat", low, high)
+			}
+		}},
+		{name: "image page zeroed", shape: func(t *testing.T, k *Kernel, p *Process) {
+			ro := plain.Section(binfmt.SecROData)
+			if b, _ := p.Mem.RawRead(ro.Addr, ro.Size); bytes.Count(b, []byte{0}) == len(b) {
+				t.Fatal(".rodata holds no nonzero byte to zero")
+			}
+			if err := p.Mem.KernelWrite(ro.Addr, make([]byte, ro.Size)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "paged arena", paged: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var k *Kernel
+			var p *Process
+			exe := plain
+			if tc.paged {
+				exe = buildExe(t, ckptPagedSrc)
+				k = newKernel(t, WithMode(Permissive), WithPagedMemory(16))
+				p = spinPaged(t, k, exe)
+			} else {
+				k = newKernel(t, WithMode(Permissive))
+				var err error
+				if p, err = k.Spawn(exe, "test"); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.Run(p, 200); !errors.Is(err, vm.ErrCycleLimit) {
+					t.Fatalf("run: err = %v, want cycle limit", err)
+				}
+				tc.shape(t, k, p)
+			}
+			if tc.check != nil {
+				tc.check(t, p)
+			}
+			low, high := p.Mem.Regions()
+			blob, err := k.Checkpoint(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l, h := p.Mem.Regions(); l != low || h != high {
+				t.Fatalf("Checkpoint grew the live regions from %d+%d to %d+%d", low, high, l, h)
+			}
+			r, err := k.Restore(exe, "test", blob, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameMemory(t, p, r)
+		})
+	}
+}
+
+// nonzeroPages counts the pages of p's backed regions that hold a
+// nonzero byte, reading every backed page.
+func nonzeroPages(t testing.TB, p *Process) int {
+	t.Helper()
+	low, high := p.Mem.Regions()
+	n := 0
+	for _, span := range [][2]uint32{{p.Mem.Base(), low}, {p.Mem.Limit() - high, high}} {
+		for off := uint32(0); off < span[1]; off += vm.PageSize {
+			b, err := p.Mem.RawRead(span[0]+off, min(vm.PageSize, span[1]-off))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Count(b, []byte{0}) != len(b) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestCheckpointSize bounds a blob by the memory it must carry: a page
+// per nonzero page and per page of swap residue, plus 8 KiB of
+// everything else. A blob that copies zeros — whole segments, the
+// unbacked gap, the zero-scrubbed evicted pages — fails it.
+func TestCheckpointSize(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		k, p := ckptSizeProc(t, paged)
+		residue := 0
+		if p.pager != nil {
+			for i, g := range p.pager.gens {
+				if g != 0 && p.pager.pt.Flags(i)&vm.PagePresent == 0 {
+					residue++
+				}
+			}
+		}
+		blob, err := k.Checkpoint(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nz := nonzeroPages(t, p)
+		bound := (nz+residue)*vm.PageSize + 8<<10
+		t.Logf("paged=%v: %d-byte blob, %d nonzero and %d residue pages, bound %d", paged, len(blob), nz, residue, bound)
+		if len(blob) > bound {
+			t.Errorf("paged=%v: %d-byte blob exceeds %d", paged, len(blob), bound)
+		}
+	}
+}
+
+// ckptSizeProc returns a kernel and an authenticated process in
+// mid-run: the getpid loop on a flat kernel, or the paged spinner at a
+// budget of 16 pages.
+func ckptSizeProc(t testing.TB, paged bool) (*Kernel, *Process) {
+	t.Helper()
+	if paged {
+		k := newKernel(t, WithPagedMemory(16))
+		return k, spinPaged(t, k, buildAuthExe(t, ckptPagedSrc))
+	}
+	k := newKernel(t)
+	p, err := k.Spawn(buildAuthExe(t, benchLoopSrc), "flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(p, 100_000); !errors.Is(err, vm.ErrCycleLimit) {
+		t.Fatalf("flat run: err = %v, want cycle limit", err)
+	}
+	return k, p
 }

@@ -48,17 +48,34 @@ type Keyed struct {
 	k1    [Size]byte
 	k2    [Size]byte
 
-	// scratch recycles the two working blocks of Sum. Passing stack
-	// arrays through the cipher.Block interface forces them to the heap,
-	// so without the pool every Sum costs two allocations — measurable in
-	// the kernel trap handler, which computes several MACs per call.
+	// scratch recycles the working state of Sum: the two blocks, the CBC
+	// encrypter and its output buffer. Passing stack arrays through the
+	// cipher interfaces forces them to the heap, and an encrypter copies
+	// the key schedule, so without the pool every Sum would allocate —
+	// measurable in the kernel trap handler, which computes several MACs
+	// per call.
 	scratch sync.Pool
 }
+
+// chunk is how many message bytes one CryptBlocks call of the bulk CBC
+// pass covers: the size of the scratch buffer its ciphertext lands in.
+// A 256 KiB message MACs as fast through 256-byte chunks as through
+// 4 KiB ones, and pooled scratch stays on the heap, so it is small.
+const chunk = 256
 
 // cmacScratch holds the working state of one CMAC computation.
 type cmacScratch struct {
 	x    [Size]byte
 	last [Size]byte
+	cbc  cbcMode // CBC encryption under the Keyed's key, made and set by absorb
+	buf  [chunk]byte
+}
+
+// cbcMode is a CBC encrypter whose chaining value can be reset, which
+// both of the standard library's CBC encrypters are.
+type cbcMode interface {
+	cipher.BlockMode
+	SetIV([]byte)
 }
 
 // New returns a Keyed MAC for the given AES-128 key.
@@ -122,14 +139,27 @@ func (k *Keyed) get() *cmacScratch {
 }
 
 // absorb CBC-chains every block of msg, whose length is a multiple of
-// Size, into x and returns the number of blocks.
-func (k *Keyed) absorb(x *[Size]byte, msg []byte) int {
-	for rem := msg; len(rem) > 0; rem = rem[Size:] {
-		for i := 0; i < Size; i++ {
-			x[i] ^= rem[i]
-		}
-		k.block.Encrypt(x[:], x[:])
+// Size, into s.x and returns the number of blocks. It is one bulk CBC
+// pass from s.x, a chunk at a time: each chunk is copied into s.buf and
+// encrypted there (msg itself never reaches the cipher interface, which
+// would move a caller's stack buffer to the heap), and the last
+// ciphertext block is the new chaining value.
+func (k *Keyed) absorb(s *cmacScratch, msg []byte) int {
+	if len(msg) == 0 {
+		return 0
 	}
+	if s.cbc == nil {
+		// Made on first use: a message of one block never needs it.
+		s.cbc = cipher.NewCBCEncrypter(k.block, s.x[:]).(cbcMode)
+	} else {
+		s.cbc.SetIV(s.x[:])
+	}
+	var out []byte
+	for rem := msg; len(rem) > 0; rem = rem[len(out):] {
+		out = s.buf[:copy(s.buf[:], rem)]
+		s.cbc.CryptBlocks(out, out)
+	}
+	copy(s.x[:], out[len(out)-Size:])
 	return len(msg) / Size
 }
 
@@ -139,7 +169,7 @@ func (k *Keyed) absorb(x *[Size]byte, msg []byte) int {
 // and the AES block operations performed.
 func (k *Keyed) finish(s *cmacScratch, msg []byte) (Tag, int) {
 	n := chained(len(msg))
-	blocks := k.absorb(&s.x, msg[:n]) + 1
+	blocks := k.absorb(s, msg[:n]) + 1
 	s.last = [Size]byte{}
 	tail := copy(s.last[:], msg[n:])
 	sub := &k.k1
@@ -191,10 +221,14 @@ func (st *ChainState) Consumed() int { return len(st.prefix) }
 // operations performed (charged once, at install time). For messages of
 // one block or less there is nothing to hoist and the state is empty.
 func (k *Keyed) Precompute(msg []byte) (*ChainState, int) {
-	st := &ChainState{}
 	n := chained(len(msg))
-	st.prefix = append([]byte(nil), msg[:n]...)
-	return st, k.absorb(&st.x, st.prefix)
+	st := &ChainState{prefix: append([]byte(nil), msg[:n]...)}
+	s := k.get()
+	s.x = [Size]byte{}
+	blocks := k.absorb(s, st.prefix)
+	st.x = s.x
+	k.scratch.Put(s)
+	return st, blocks
 }
 
 // SumFrom computes the CMAC tag of msg, resuming from a precomputed

@@ -140,12 +140,79 @@ func TestPropertyKeySeparation(t *testing.T) {
 	}
 }
 
-func BenchmarkSum64(b *testing.B) {
+func benchSum(b *testing.B, n int) {
 	k, _ := New(make([]byte, KeySize))
-	msg := make([]byte, 64)
+	msg := make([]byte, n)
+	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.Sum(msg)
+	}
+}
+
+func BenchmarkSum64(b *testing.B) { benchSum(b, 64) }
+
+// BenchmarkSum4K is one swap frame's worth of message.
+func BenchmarkSum4K(b *testing.B) { benchSum(b, 4096) }
+
+// BenchmarkSum256K is the size of a whole stack segment.
+func BenchmarkSum256K(b *testing.B) { benchSum(b, 256<<10) }
+
+// refSum is CMAC with the chain computed one block at a time through
+// cipher.Block: the reference the bulk CBC pass must match.
+func refSum(k *Keyed, msg []byte) (Tag, int) {
+	var x, last [Size]byte
+	n := chained(len(msg))
+	for off := 0; off < n; off += Size {
+		for i := range x {
+			x[i] ^= msg[off+i]
+		}
+		k.block.Encrypt(x[:], x[:])
+	}
+	tail := copy(last[:], msg[n:])
+	sub := k.k1
+	if tail < Size {
+		last[tail] = 0x80
+		sub = k.k2
+	}
+	for i := range x {
+		x[i] ^= last[i] ^ sub[i]
+	}
+	k.block.Encrypt(x[:], x[:])
+	return Tag(x), n/Size + 1
+}
+
+// TestBulkMatchesPerBlock: the bulk CBC pass gives the per-block tag and
+// block count at every length up to past one chunk, and at lengths that
+// span many chunks; Precompute and SumFrom resume it exactly.
+func TestBulkMatchesPerBlock(t *testing.T) {
+	k, err := New(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 300_000)
+	for i := range msg {
+		msg[i] = byte(i*7 + i>>8)
+	}
+	lengths := []int{65_536, 300_000}
+	for n := 0; n <= 4_200; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		want, wantBlocks := refSum(k, msg[:n])
+		got, blocks := k.Sum(msg[:n])
+		if got != want || blocks != wantBlocks || blocks != Blocks(n) {
+			t.Fatalf("len %d: Sum = %s/%d blocks, per-block %s/%d, Blocks %d",
+				n, got, blocks, want, wantBlocks, Blocks(n))
+		}
+	}
+	for _, n := range []int{4_097, 65_536, 300_000} {
+		st, pre := k.Precompute(msg[:n])
+		got, tail := k.SumFrom(st, msg[:n])
+		want, wantBlocks := refSum(k, msg[:n])
+		if got != want || pre+tail != wantBlocks {
+			t.Fatalf("len %d: Precompute+SumFrom = %s/%d blocks, want %s/%d", n, got, pre+tail, want, wantBlocks)
+		}
 	}
 }
 

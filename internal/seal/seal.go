@@ -38,8 +38,9 @@ type Domain struct {
 // The six domains.
 var (
 	// Checkpoint seals a process checkpoint (package ckpt); version 2
-	// added the paged-memory section.
-	Checkpoint = Domain{"asc/ckpt/seal/v1\x00", "ASCK", 2, ErrTruncated, ErrSeal, ErrMalformed}
+	// added the paged-memory section, and version 3 stores each segment
+	// as runs of its nonzero pages plus the two backed region lengths.
+	Checkpoint = Domain{"asc/ckpt/seal/v1\x00", "ASCK", 3, ErrTruncated, ErrSeal, ErrMalformed}
 	// Program tags an installed executable's serialized bytes; it has no
 	// blob, only Tag.
 	Program = Domain{prefix: "asc/ckpt/prog/v1\x00"}

@@ -353,3 +353,52 @@ func TestSparseTouchesOnlyWhatIsUsed(t *testing.T) {
 		t.Fatalf("gap load = %d, %v; want 0", v, err)
 	}
 }
+
+// TestNonzeroRuns: the walker yields the nonzero pages of the backed
+// regions as runs clipped to the asked range, skips zero pages and the
+// gap, grows nothing, and gives the same runs on a flat memory.
+func TestNonzeroRuns(t *testing.T) {
+	type run struct{ addr, n uint32 }
+	fill := func(m *Memory) {
+		for _, w := range []struct{ addr, v uint32 }{
+			{dBase + 0x10, 1},             // page 0
+			{dBase + 0x1ffe, 0x0202_0202}, // pages 1 and 2, one run with page 0
+			{dBase + 0x4000, 4},           // page 4; page 3 is backed and zero
+			{dTop - 4, 5},                 // the top page
+		} {
+			if err := m.KernelStore32(w.addr, w.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := []run{
+		{dBase + 8, 0x3000 - 8},
+		{dBase + 0x4000, 0x1000},
+		{dTop - PageSize, PageSize - 2},
+	}
+	sparse, flat := NewMemory(dBase, dSize), NewMemory(dBase, dSize)
+	fill(sparse)
+	if err := flat.ResetRegions(dSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	fill(flat)
+	for name, m := range map[string]*Memory{"sparse": sparse, "flat": flat} {
+		low, high := m.Regions()
+		var got []run
+		m.NonzeroRuns(dBase+8, dTop-2, func(addr uint32, b []byte) {
+			if bytes.Count(b, []byte{0}) == len(b) {
+				t.Errorf("%s: all-zero run at %#x", name, addr)
+			}
+			got = append(got, run{addr, uint32(len(b))})
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: runs %x, want %x", name, got, want)
+		}
+		if l, h := m.Regions(); l != low || h != high {
+			t.Errorf("%s: regions grew from %d+%d to %d+%d", name, low, high, l, h)
+		}
+	}
+	if err := sparse.ResetRegions(dSize-PageSize, 2*PageSize); err == nil {
+		t.Error("ResetRegions accepted overlapping regions")
+	}
+}

@@ -240,6 +240,65 @@ func growLen(cur, need, max uint32) (uint32, bool) {
 	return uint32(l), true
 }
 
+// Regions returns the lengths of the low and high regions: how many
+// bytes the memory backs at each end of the address space.
+func (m *Memory) Regions() (low, high uint32) {
+	return uint32(len(m.low)), uint32(len(m.high))
+}
+
+// ResetRegions drops every byte and backs the memory afresh with zeroed
+// regions of exactly low and high bytes. Checkpoint restore uses it to
+// give the restored process the captured process's footprint before
+// writing the captured bytes back. It fails if the regions would
+// overlap.
+func (m *Memory) ResetRegions(low, high uint32) error {
+	if uint64(low)+uint64(high) > uint64(m.size) {
+		return fmt.Errorf("vm: regions of %d and %d bytes overflow a %d-byte space", low, high, m.size)
+	}
+	m.low, m.high = make([]byte, low), make([]byte, high)
+	return nil
+}
+
+// zeroPage is the all-zero page NonzeroRuns compares against.
+var zeroPage [PageSize]byte
+
+// NonzeroRuns calls fn, in address order, with every run of backed bytes
+// of [start, end) whose pages hold a nonzero byte. Pages are aligned to
+// PageSize in the address space; consecutive nonzero pages of one region
+// form one run, clipped to [start, end). The gap between the regions
+// reads as zero and is skipped, and nothing grows. Each b is a view of
+// memory under the Memory contract.
+func (m *Memory) NonzeroRuns(start, end uint32, fn func(addr uint32, b []byte)) {
+	start, end = max(start, m.base), min(end, m.Limit())
+	if start >= end {
+		return
+	}
+	lo, hi := start-m.base, end-m.base
+	m.regionRuns(m.low, 0, lo, hi, fn)
+	m.regionRuns(m.high, m.size-uint32(len(m.high)), lo, hi, fn)
+}
+
+// regionRuns is NonzeroRuns over the offsets from base in [lo, hi) that
+// region r, which starts at offset at, backs.
+func (m *Memory) regionRuns(r []byte, at, lo, hi uint32, fn func(addr uint32, b []byte)) {
+	lo, hi = max(lo, at), min(hi, at+uint32(len(r)))
+	run := lo // start of the pending run
+	for off := lo; off < hi; {
+		pageEnd := (uint64(m.base+off) | (PageSize - 1)) + 1
+		next := uint32(min(pageEnd-uint64(m.base), uint64(hi)))
+		if bytes.Equal(r[off-at:next-at], zeroPage[:next-off]) {
+			if run < off {
+				fn(m.base+run, r[run-at:off-at])
+			}
+			run = next
+		}
+		off = next
+	}
+	if run < hi {
+		fn(m.base+run, r[run-at:hi-at])
+	}
+}
+
 // Map adds (or replaces, by name) a protection segment. Replacing a
 // segment keeps its store-generation counter: remapping (e.g. brk growing
 // the heap) does not make previously verified bytes look unchanged.

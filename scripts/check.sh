@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: formatting, vet,
 # build, the tier-1 test suite, the SMP race gate, short fuzz smokes
-# over the decoders, the kernel syscall and spawn benchmarks, the fault-
-# injection campaign, the cached-overhead regression guard, and the
-# machine-readable summaries (BENCH_kernel.json, BENCH_batch.json,
-# BENCH_fault.json).
+# over the decoders, the kernel syscall, spawn and checkpoint
+# benchmarks, the fault-injection campaign, the cached-overhead
+# regression guard, and the machine-readable summaries
+# (BENCH_kernel.json, BENCH_batch.json, BENCH_fault.json).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -60,8 +60,8 @@ go test -run '^$' -fuzz FuzzSwapFrameDecode -fuzztime 5s ./internal/ckpt
 echo "== fuzz smoke (page-table-record decoding) =="
 go test -run '^$' -fuzz FuzzPageTableDecode -fuzztime 5s ./internal/vm
 
-echo "== kernel syscall and spawn benchmarks =="
-go test -run '^$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn' \
+echo "== kernel syscall, spawn and checkpoint benchmarks =="
+go test -run '^$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn|Checkpoint' \
     -benchtime 2x ./internal/kernel
 
 # -guard 1.6 is the perf regression gate: fail if the cached getpid
