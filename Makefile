@@ -22,6 +22,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn|Checkpoint' \
 		-benchtime 2x ./internal/kernel
+	$(GO) test -run '^$$' -bench 'Interpreter' -benchtime 2x ./internal/vm
 
 # fault runs the deterministic fault-injection campaign — every scenario
 # of the registry in internal/fault, on the kernel, checkpoint, cluster

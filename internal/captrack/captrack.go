@@ -67,7 +67,7 @@ func InitialState(key *mac.Keyed, fds []uint32, capacity int) ([]byte, error) {
 		binary.LittleEndian.PutUint32(raw[4+4*i:], fd)
 	}
 	t := &Tracker{key: key, cap: capacity}
-	tag, _ := key.Sum(t.payload(raw, uint32(len(fds))))
+	tag, _ := t.sum(key, raw, uint32(len(fds)))
 	copy(raw[4+4*capacity:], tag[:])
 	return raw, nil
 }
@@ -106,9 +106,9 @@ func (t *Tracker) load(mem *vm.Memory) ([]uint32, error) {
 	}
 	var tag mac.Tag
 	copy(tag[:], raw[4+4*t.cap:])
-	ok, blocks := t.key.Verify(t.payload(raw, count), tag)
+	got, blocks := t.sum(t.key, raw, count)
 	t.AESBlocks += blocks
-	if !ok {
+	if !got.Equal(tag) {
 		return nil, ErrTampered
 	}
 	fds := make([]uint32, count)
@@ -118,14 +118,12 @@ func (t *Tracker) load(mem *vm.Memory) ([]uint32, error) {
 	return fds, nil
 }
 
-// payload builds the MACed bytes: count, the live entries, and the
-// counter nonce.
-func (t *Tracker) payload(raw []byte, count uint32) []byte {
-	msg := make([]byte, 0, 4+4*count+8)
-	msg = append(msg, raw[:4+4*count]...)
+// sum MACs the set under key: its count and live entries, which lead
+// raw, then the counter nonce. It returns the tag and the AES blocks.
+func (t *Tracker) sum(key *mac.Keyed, raw []byte, count uint32) (mac.Tag, int) {
 	var ctr [8]byte
 	binary.LittleEndian.PutUint64(ctr[:], t.counter)
-	return append(msg, ctr[:]...)
+	return key.Sum(raw[:4+4*count], ctr[:])
 }
 
 // seal writes the set and a fresh MAC under an incremented nonce.
@@ -135,7 +133,7 @@ func (t *Tracker) seal(mem *vm.Memory, fds []uint32) error {
 	for i, fd := range fds {
 		binary.LittleEndian.PutUint32(raw[4+4*i:], fd)
 	}
-	tag, blocks := t.key.Sum(t.payload(raw, uint32(len(fds))))
+	tag, blocks := t.sum(t.key, raw, uint32(len(fds)))
 	t.AESBlocks += blocks
 	copy(raw[4+4*t.cap:], tag[:])
 	return mem.KernelWrite(t.addr, raw)

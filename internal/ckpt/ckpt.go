@@ -100,13 +100,9 @@ type State struct {
 	Cycles uint64
 	Halted bool
 
-	// Address space. LowLen and HighLen are the lengths of the memory's
-	// two backed regions (vm.Memory.Regions); restore backs exactly those
-	// bytes, so the restored process grows as the captured one would.
+	// Address space.
 	MemBase uint32
 	MemSize uint32
-	LowLen  uint32
-	HighLen uint32
 	Brk     uint32
 	Segs    []SegState
 
@@ -218,8 +214,6 @@ func encodeState(e *seal.Enc, s *State) {
 
 	e.U32(s.MemBase)
 	e.U32(s.MemSize)
-	e.U32(s.LowLen)
-	e.U32(s.HighLen)
 	e.U32(s.Brk)
 	e.U32(uint32(len(s.Segs)))
 	for i := range s.Segs {
@@ -320,12 +314,6 @@ func decodeState(b []byte) (*State, error) {
 
 	s.MemBase = d.U32()
 	s.MemSize = d.U32()
-	s.LowLen = d.U32()
-	s.HighLen = d.U32()
-	if uint64(s.LowLen)+uint64(s.HighLen) > uint64(s.MemSize) {
-		return nil, fmt.Errorf("%w: regions of %d and %d bytes in a %d-byte space",
-			ErrMalformed, s.LowLen, s.HighLen, s.MemSize)
-	}
 	s.Brk = d.U32()
 	nsegs := d.Count(25)
 	for i := 0; i < nsegs && !d.Failed(); i++ {

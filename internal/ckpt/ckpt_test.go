@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"asc/internal/mac"
@@ -32,8 +33,6 @@ func sampleState() *State {
 		Cycles:        123456,
 		MemBase:       0x1000_0000,
 		MemSize:       4 << 20,
-		LowLen:        0x4000,
-		HighLen:       0x2000,
 		Brk:           0x1000_3000,
 		Segs: []SegState{
 			{Name: ".text", Start: 0x1000_0000, End: 0x1000_0040, Perms: 5, Gen: 0,
@@ -226,13 +225,13 @@ func TestStoreTamperHook(t *testing.T) {
 	}
 }
 
-// goldenState is a small v3 state touching every section of the
+// goldenState is a small v4 state touching every section of the
 // format, the paged section included.
 func goldenState() *State {
 	return &State{
 		Epoch: 3, ProgTag: mac.Tag{0xa5}, Name: "g", Authenticated: true, Enforcement: 1,
 		Regs: []uint32{1, 2}, PC: 0x40, Cycles: 99,
-		MemBase: 0x1000, MemSize: 0x2000, LowLen: 0x1000, HighLen: 0x800, Brk: 0x1800,
+		MemBase: 0x1000, MemSize: 0x2000, Brk: 0x1800,
 		Segs: []SegState{{Name: "d", Start: 0x1000, End: 0x1010, Perms: 3, Gen: 5,
 			Runs: []Run{{Off: 0, Data: []byte{9, 8}}, {Off: 0xc, Data: []byte{7, 6}}}}},
 		Counter: 4, FDTrack: true, FDTrackCounter: 2,
@@ -245,8 +244,9 @@ func goldenState() *State {
 	}
 }
 
-// goldenCkpt is the sealed hex of goldenState under testKey.
-const goldenCkpt = "4153434b030000000300000000000000a500000000000000000000000000000001000000" +
+// goldenCkptV3 is goldenState sealed under testKey in state format v3,
+// which also carried the lengths 0x1000 and 0x800 of two memory regions.
+const goldenCkptV3 = "4153434b030000000300000000000000a500000000000000000000000000000001000000" +
 	"670101000000020000000100000002000000400000006300000000000000000010000000" +
 	"200000001000000008000000180000010000000100000064001000001010000003050000" +
 	"000000000002000000000000000200000009080c00000002000000070604000000000000" +
@@ -256,6 +256,30 @@ const goldenCkpt = "4153434b030000000300000000000000a500000000000000000000000000
 	"000000000000000000000000000000000000000000000000000000010018000001000000" +
 	"020000000100020000000000000000000000020000000000000001000000010000000200" +
 	"00000505c48246e910ae7aabe3a1758e51a40349"
+
+// goldenCkpt is the sealed hex of goldenState under testKey.
+const goldenCkpt = "4153434b040000000300000000000000a500000000000000000000000000000001000000" +
+	"670101000000020000000100000002000000400000006300000000000000000010000000" +
+	"200000001800000100000001000000640010000010100000030500000000000000020000" +
+	"00000000000200000009080c000000020000000706040000000000000001020000000000" +
+	"0000010000002f12000000010000006901000000010000006f0200000001000000010000" +
+	"0001000000020000002f6603000000010000000200000080000000070000000000000006" +
+	"000000000000000000000000000000000000000000000000000000000000000000000000" +
+	"000000000000000000000000000000000000000100180000010000000200000001000200" +
+	"000000000000000000000200000000000000010000000100000002000000050564f67cae" +
+	"a418da8c339205f1a5c3b679"
+
+// TestOpenRejectsV3: a genuine v3 blob, its seal intact, fails the
+// version check; v3 has no decoder.
+func TestOpenRejectsV3(t *testing.T) {
+	blob, err := hex.DecodeString(goldenCkptV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(testKey(t), blob); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("v3 blob: err = %v, want ErrMalformed for version 3", err)
+	}
+}
 
 // TestSealedGolden pins the wire bytes of a sealed checkpoint, a program
 // tag and a migration envelope, so a change to how they are built cannot
@@ -271,14 +295,14 @@ func TestSealedGolden(t *testing.T) {
 	}
 	env := SealMigration(k, &Migration{Epoch: 3, Src: 1, Dst: 2, Name: "g", Ckpt: ck})
 	if got, want := hex.EncodeToString(env), "4153434d01000000030000000000000001000000020000000100000067"+
-		"58010000"+goldenCkpt+"be3d567c8f08be46e9aed2d711955ae1"; got != want {
+		"50010000"+goldenCkpt+"bc24a5d6398bcb2b9e0c4efd59d388af"; got != want {
 		t.Errorf("migration envelope = %s, want %s", got, want)
 	}
 }
 
 // TestDecodeRejectsBadLayout: runs that overlap, go backwards or pass
-// their segment's end, and regions that overflow the address space, are
-// malformed; adjacent runs and regions that fill the space are not.
+// their segment's end are malformed; adjacent runs and a run ending at
+// its segment's end are not.
 func TestDecodeRejectsBadLayout(t *testing.T) {
 	cases := []struct {
 		name string
@@ -297,14 +321,12 @@ func TestDecodeRejectsBadLayout(t *testing.T) {
 		{"run past End of an inverted segment", func(s *State) {
 			s.Segs[0].End = s.Segs[0].Start - 1
 		}, false},
-		{"regions exceed MemSize", func(s *State) { s.LowLen, s.HighLen = 0x1800, 0x801 }, false},
 		{"adjacent runs", func(s *State) {
 			s.Segs[0].Runs = []Run{{Off: 0, Data: []byte{1, 2}}, {Off: 2, Data: []byte{3}}}
 		}, true},
 		{"run ending at End", func(s *State) {
 			s.Segs[0].Runs = []Run{{Off: 0xf, Data: []byte{1}}}
 		}, true},
-		{"regions fill MemSize", func(s *State) { s.LowLen, s.HighLen = 0x2000, 0 }, true},
 	}
 	for _, tc := range cases {
 		s := goldenState()

@@ -281,7 +281,7 @@ func (nd *Node) handle(c *anet.Conn, s *session, msg []byte) bool {
 		reply = append(reply, msgPong...)
 		reply = append(reply, body[:8]...)
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(nd.ID))
-		return c.Send(reply, nil) == nil
+		return c.Send(nil, reply) == nil
 	case msgMigHdr:
 		if s.mig || len(body) < 16 {
 			return false
@@ -322,7 +322,7 @@ func (nd *Node) handle(c *anet.Conn, s *session, msg []byte) bool {
 
 // reject replies with a canonical rejection reason.
 func (nd *Node) reject(c *anet.Conn, reason string) bool {
-	return c.Send(append([]byte(msgReject), reason...), nil) == nil
+	return c.Send(nil, append([]byte(msgReject), reason...)) == nil
 }
 
 // stage verifies a fully assembled migration envelope — seal,
@@ -348,7 +348,7 @@ func (nd *Node) stage(c *anet.Conn, s *session) bool {
 	reply = append(reply, msgStaged...)
 	reply = binary.LittleEndian.AppendUint64(reply, m.Epoch)
 	reply = append(reply, m.Name...)
-	return c.Send(reply, nil) == nil
+	return c.Send(nil, reply) == nil
 }
 
 // commit imports the staged migration through the kernel's full
@@ -369,5 +369,5 @@ func (nd *Node) commit(c *anet.Conn, s *session) bool {
 	}
 	s.committed = true
 	nd.adopted = p
-	return c.Send([]byte(msgDone), nil) == nil
+	return c.Send(nil, []byte(msgDone)) == nil
 }

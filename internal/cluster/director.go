@@ -590,7 +590,7 @@ func (d *Director) beat(ni int) bool {
 	msg := make([]byte, 0, 12)
 	msg = append(msg, msgPing...)
 	msg = binary.LittleEndian.AppendUint64(msg, d.beatSeq)
-	if c.Send(msg, nil) != nil {
+	if c.Send(nil, msg) != nil {
 		return false
 	}
 	nd.serve()

@@ -179,7 +179,7 @@ func (d *Director) deliver(env []byte, target NodeID, name string, epoch uint64,
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(env)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nchunks))
 	hdr = append(hdr, name...)
-	if err := c.Send(hdr, nil); err != nil {
+	if err := c.Send(nil, hdr); err != nil {
 		return "", nil, err
 	}
 	nd.serve()
@@ -191,7 +191,7 @@ func (d *Director) deliver(env []byte, target NodeID, name string, epoch uint64,
 		if hi > len(env) {
 			hi = len(env)
 		}
-		if err := c.Send(env[lo:hi], nil); err != nil {
+		if err := c.Send(nil, env[lo:hi]); err != nil {
 			return "", nil, err
 		}
 		// Strict alternation keeps the bounded fabric buffers empty.
@@ -214,11 +214,11 @@ func (d *Director) deliver(env []byte, target NodeID, name string, epoch uint64,
 	// The destination verified the envelope; liveness is the fence's
 	// call.
 	if err := d.fence.Admit(name, epoch, target); err != nil {
-		_ = c.Send([]byte(msgAbort), nil)
+		_ = c.Send(nil, []byte(msgAbort))
 		nd.serve()
 		return seal.Reason(err), nil, nil
 	}
-	if err := c.Send([]byte(msgCommit), nil); err != nil {
+	if err := c.Send(nil, []byte(msgCommit)); err != nil {
 		return "", nil, err
 	}
 	nd.serve()

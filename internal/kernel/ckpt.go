@@ -108,17 +108,21 @@ func (k *Kernel) Checkpoint(p *Process, epoch uint64) ([]byte, error) {
 	}
 
 	// Memory is captured raw, as runs of the pages that hold a nonzero
-	// byte: the walk neither grows the address space nor goes through the
-	// paged accessors, which would thrash the working set (and fault on
-	// unmapped pages). Evicted arena pages are zero-scrubbed, so they
-	// yield no run; their contents travel in the paged section below.
-	st.LowLen, st.HighLen = p.Mem.Regions()
+	// byte (consecutive such pages form one run): the walk allocates no
+	// page and does not go through the paged accessors, which would
+	// thrash the working set (and fault on unmapped pages). Evicted arena
+	// pages are freed, so they yield no run; their contents travel in the
+	// paged section below.
 	segs, gens := p.Mem.SnapshotSegments()
 	st.Segs = make([]ckpt.SegState, len(segs))
 	for i, sg := range segs {
 		s := ckpt.SegState{Name: sg.Name, Start: sg.Start, End: sg.End, Perms: sg.Perms, Gen: gens[i]}
 		p.Mem.NonzeroRuns(sg.Start, sg.End, func(addr uint32, b []byte) {
-			s.Runs = append(s.Runs, ckpt.Run{Off: addr - sg.Start, Data: append([]byte(nil), b...)})
+			if n := len(s.Runs) - 1; n >= 0 && sg.Start+s.Runs[n].Off+uint32(len(s.Runs[n].Data)) == addr {
+				s.Runs[n].Data = append(s.Runs[n].Data, b...)
+			} else {
+				s.Runs = append(s.Runs, ckpt.Run{Off: addr - sg.Start, Data: append([]byte(nil), b...)})
+			}
 		})
 		st.Segs[i] = s
 	}
@@ -347,13 +351,11 @@ func (k *Kernel) overlay(p *Process, st *ckpt.State) error {
 		return statef("paged=%v, spawned on a kernel with paged=%v", st.Paged, p.pager != nil)
 	}
 
-	// Memory: back exactly the captured regions, zeroed — so every byte
-	// of the spawned image that no run restores reads zero — then write
-	// each segment's runs, and install the protection map and generation
-	// counters wholesale.
-	if err := p.Mem.ResetRegions(st.LowLen, st.HighLen); err != nil {
-		return statef("%v", err)
-	}
+	// Memory: drop every page of the spawned image — so every byte no
+	// run restores reads zero — then write each segment's runs, which
+	// allocates exactly their pages, and install the protection map and
+	// generation counters wholesale.
+	p.Mem.Zero(p.Mem.Base(), p.Mem.Limit()-p.Mem.Base())
 	segs := make([]vm.Segment, len(st.Segs))
 	gens := make([]uint64, len(st.Segs))
 	for i := range st.Segs {
@@ -372,9 +374,6 @@ func (k *Kernel) overlay(p *Process, st *ckpt.State) error {
 		}
 		segs[i] = vm.Segment{Name: sg.Name, Start: sg.Start, End: sg.End, Perms: sg.Perms}
 		gens[i] = sg.Gen
-	}
-	if low, high := p.Mem.Regions(); low != st.LowLen || high != st.HighLen {
-		return statef("runs outside the captured regions of %d and %d bytes", st.LowLen, st.HighLen)
 	}
 	if err := p.Mem.RestoreSegments(segs, gens); err != nil {
 		return statef("%v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"asc/internal/binfmt"
@@ -306,28 +307,27 @@ func spinPaged(t testing.TB, k *Kernel, exe *binfmt.File) *Process {
 	return p
 }
 
-// assertSameMemory fails unless r's address space is p's: the same two
-// region lengths and raw bytes in each (so every byte of [Base, Limit)
-// matches, the unbacked gap reading zero in both), the same segments and
-// store generations, and the same page table and swap generations.
+// assertSameMemory fails unless r's address space is p's: the same raw
+// bytes in every page of [Base, Limit) (unallocated pages reading zero),
+// with every page r allocated holding a nonzero byte, the same segments
+// and store generations, and the same page table and swap generations.
 func assertSameMemory(t *testing.T, p, r *Process) {
 	t.Helper()
-	pl, ph := p.Mem.Regions()
-	if rl, rh := r.Mem.Regions(); rl != pl || rh != ph {
-		t.Fatalf("restored regions %d+%d bytes, live %d+%d", rl, rh, pl, ph)
-	}
-	for _, span := range [][2]uint32{{p.Mem.Base(), pl}, {p.Mem.Limit() - ph, ph}} {
-		want, err := p.Mem.RawRead(span[0], span[1])
+	for a := uint64(p.Mem.Base()); a < uint64(p.Mem.Limit()); a += vm.PageSize {
+		want, err := p.Mem.RawRead(uint32(a), vm.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Mem.RawRead(span[0], span[1])
+		got, err := r.Mem.RawRead(uint32(a), vm.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("byte %#x: restored %#x, live %#x", span[0]+uint32(i), got[i], want[i])
+			t.Fatalf("byte %#x: restored %#x, live %#x", a+uint64(i), got[i], want[i])
 		}
+	}
+	if n, nz := pages(r), nonzeroPages(r); n != nz {
+		t.Fatalf("restored memory allocated %d pages, %d of them hold data", n, nz)
 	}
 	psegs, pgens := p.Mem.SnapshotSegments()
 	rsegs, rgens := r.Mem.SnapshotSegments()
@@ -362,8 +362,8 @@ func firstDiff(a, b []byte) int {
 // TestCheckpointDifferential: a checkpoint taken after accesses that
 // shape the address space every way it can be shaped restores to the
 // same bytes, segments, generations and page state as the live process,
-// with the same two region lengths; and taking it leaves the live
-// process's regions as they were.
+// allocating only the pages that hold data; and taking it allocates no
+// page of the live process.
 func TestCheckpointDifferential(t *testing.T) {
 	plain := buildExe(t, ckptLoopSrc)
 	stackStart := uint32(binfmt.TextBase + DefaultMemSize - DefaultStackSize)
@@ -396,26 +396,8 @@ func TestCheckpointDifferential(t *testing.T) {
 			write(t, p, stackStart-0x20_0000, []byte{6})
 			write(t, p, stackStart+0x100, []byte{7})
 		}, check: func(t *testing.T, p *Process) {
-			if low, high := p.Mem.Regions(); low+high >= DefaultMemSize {
-				t.Fatalf("regions %d+%d leave no gap", low, high)
-			}
-		}},
-		{name: "straddle collapses to flat", shape: func(t *testing.T, k *Kernel, p *Process) {
-			brk(t, k, p, stackStart-1)
-			write(t, p, heapStartOf(p)+0x2000, []byte{8}) // low reaches into the heap
-			write(t, p, p.brk-0x2_0000, []byte{9})        // high reaches into the heap
-			write(t, p, stackStart+8, []byte{10})
-			low, high := p.Mem.Regions()
-			lowEnd, highStart := p.Mem.Base()+low, p.Mem.Limit()-high
-			// One store across the gap; the byte at stackStart-1 lies in
-			// no segment, so it stays zero.
-			span := make([]byte, highStart-lowEnd+32)
-			copy(span, "straddle")
-			copy(span[len(span)-8:], "straddle")
-			write(t, p, lowEnd-16, span)
-		}, check: func(t *testing.T, p *Process) {
-			if low, high := p.Mem.Regions(); low != DefaultMemSize || high != 0 {
-				t.Fatalf("regions %d+%d, want flat", low, high)
+			if n := pages(p); n*vm.PageSize >= DefaultMemSize/16 {
+				t.Fatalf("%d pages allocated: the gap is not sparse", n)
 			}
 		}},
 		{name: "image page zeroed", shape: func(t *testing.T, k *Kernel, p *Process) {
@@ -452,13 +434,13 @@ func TestCheckpointDifferential(t *testing.T) {
 			if tc.check != nil {
 				tc.check(t, p)
 			}
-			low, high := p.Mem.Regions()
+			live := pages(p)
 			blob, err := k.Checkpoint(p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if l, h := p.Mem.Regions(); l != low || h != high {
-				t.Fatalf("Checkpoint grew the live regions from %d+%d to %d+%d", low, high, l, h)
+			if n := pages(p); n != live {
+				t.Fatalf("Checkpoint took the live process from %d to %d pages", live, n)
 			}
 			r, err := k.Restore(exe, "test", blob, 1)
 			if err != nil {
@@ -469,30 +451,23 @@ func TestCheckpointDifferential(t *testing.T) {
 	}
 }
 
-// nonzeroPages counts the pages of p's backed regions that hold a
-// nonzero byte, reading every backed page.
-func nonzeroPages(t testing.TB, p *Process) int {
-	t.Helper()
-	low, high := p.Mem.Regions()
+// pages counts the pages p's memory has allocated.
+func pages(p *Process) int {
+	b, _ := p.Mem.Footprint()
+	return b / vm.PageSize
+}
+
+// nonzeroPages counts the pages of p's memory that hold a nonzero byte.
+func nonzeroPages(p *Process) int {
 	n := 0
-	for _, span := range [][2]uint32{{p.Mem.Base(), low}, {p.Mem.Limit() - high, high}} {
-		for off := uint32(0); off < span[1]; off += vm.PageSize {
-			b, err := p.Mem.RawRead(span[0]+off, min(vm.PageSize, span[1]-off))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Count(b, []byte{0}) != len(b) {
-				n++
-			}
-		}
-	}
+	p.Mem.NonzeroRuns(p.Mem.Base(), p.Mem.Limit(), func(uint32, []byte) { n++ })
 	return n
 }
 
 // TestCheckpointSize bounds a blob by the memory it must carry: a page
-// per nonzero page and per page of swap residue, plus 8 KiB of
+// per allocated page and per page of swap residue, plus 8 KiB of
 // everything else. A blob that copies zeros — whole segments, the
-// unbacked gap, the zero-scrubbed evicted pages — fails it.
+// unallocated gap, the freed evicted pages — fails it.
 func TestCheckpointSize(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		k, p := ckptSizeProc(t, paged)
@@ -508,9 +483,9 @@ func TestCheckpointSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nz := nonzeroPages(t, p)
-		bound := (nz+residue)*vm.PageSize + 8<<10
-		t.Logf("paged=%v: %d-byte blob, %d nonzero and %d residue pages, bound %d", paged, len(blob), nz, residue, bound)
+		alloc := pages(p)
+		bound := (alloc+residue)*vm.PageSize + 8<<10
+		t.Logf("paged=%v: %d-byte blob, %d allocated and %d residue pages, bound %d", paged, len(blob), alloc, residue, bound)
 		if len(blob) > bound {
 			t.Errorf("paged=%v: %d-byte blob exceeds %d", paged, len(blob), bound)
 		}
@@ -535,4 +510,85 @@ func ckptSizeProc(t testing.TB, paged bool) (*Kernel, *Process) {
 		t.Fatalf("flat run: err = %v, want cycle limit", err)
 	}
 	return k, p
+}
+
+// TestBrkScrubsLoweredHeap: lowering the break scrubs the heap it gives
+// up, as an application write, before a checkpoint can observe it. After
+// a store at heap+0x1000, brk down to heap+0x10, a checkpoint round trip,
+// and brk back up on both sides, the live and the restored process both
+// read zero there, and the lowering moved the heap's store generation.
+func TestBrkScrubsLoweredHeap(t *testing.T) {
+	exe := buildExe(t, ckptLoopSrc)
+	k := newKernel(t, WithMode(Permissive))
+	p, err := k.Spawn(exe, "brk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := heapStartOf(p)
+	brk := func(p *Process, addr uint32) {
+		t.Helper()
+		if got := k.sysBrk(p, addr); got != addr {
+			t.Fatalf("brk(%#x) = %#x", addr, got)
+		}
+	}
+	brk(p, heap+0x2000)
+	if err := p.Mem.UserWrite(heap+0x1000, []byte{0xaa}); err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := p.Mem.SpanGeneration(heap, 0x10)
+	live := pages(p)
+	brk(p, heap+0x10)
+	if g, _ := p.Mem.SpanGeneration(heap, 0x10); g == gen {
+		t.Fatal("lowering the break left the heap's store generation unchanged")
+	}
+	if pages(p) != live-1 {
+		t.Fatalf("lowering the break left %d pages, want %d", pages(p), live-1)
+	}
+	blob, err := k.Checkpoint(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := k.Restore(exe, "brk", blob, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*Process{"live": p, "restored": r} {
+		brk(q, heap+0x2000)
+		if b, err := q.Mem.KernelRead(heap+0x1000, 1); err != nil || b[0] != 0 {
+			t.Errorf("%s process reads %v, %v at heap+0x1000 after the break grew back; want 0", name, b, err)
+		}
+	}
+}
+
+// TestCheckpointRoundTripAllocs bounds the memory a paged checkpoint and
+// its restore allocate by the blob size plus 64 KiB: the checkpoint
+// allocates no page of the live process, and the restored process holds
+// only the pages that hold data, not the captured process's footprint.
+// The round trip's whole heap allocation is logged alongside: it also
+// carries the encoder's, decoder's and swap device's copies of the
+// blob's bytes.
+func TestCheckpointRoundTripAllocs(t *testing.T) {
+	k, p := ckptSizeProc(t, true)
+	pages, _ := p.Mem.Footprint()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	blob, err := k.Checkpoint(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := k.Restore(p.file, "bench", blob, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	if after, _ := p.Mem.Footprint(); after != pages {
+		t.Fatalf("checkpoint took the live memory from %d to %d page bytes", pages, after)
+	}
+	rpages, bookkeeping := r.Mem.Footprint()
+	t.Logf("%.1f KiB blob: the restored memory holds %.1f KiB (the live one %.1f KiB); the round trip allocates %.1f KiB in all",
+		float64(len(blob))/1024, float64(rpages+bookkeeping)/1024, float64(pages)/1024, float64(ms.TotalAlloc-before)/1024)
+	if rpages+bookkeeping > len(blob)+64<<10 {
+		t.Fatalf("restored memory holds %d KiB, budget is the %d KiB blob plus 64 KiB", (rpages+bookkeeping)>>10, len(blob)>>10)
+	}
 }

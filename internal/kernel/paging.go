@@ -193,29 +193,24 @@ func (g *pager) evict(i int) error {
 	if err := g.k.FS.WriteFile(g.framePath(i), blob, 0o600); err != nil {
 		return &vm.Fault{Addr: g.pt.PageAddr(i), Msg: "swap device: " + err.Error()}
 	}
-	// Scrub the frame so any access that skips the paging check reads
+	// Free the frame, so any access that skips the paging check reads
 	// zeros, not stale secrets.
-	if err := g.p.Mem.RawWrite(g.pt.PageAddr(i), zeroPage[:]); err != nil {
-		return err
-	}
+	g.p.Mem.Zero(g.pt.PageAddr(i), vm.PageSize)
 	g.pt.SetFlags(i, g.pt.Flags(i)&^(vm.PagePresent|vm.PageAccessed|vm.PageDirty))
 	g.resident--
 	return nil
 }
 
-var zeroPage [vm.PageSize]byte
-
 // faultIn makes page i resident: zero fill if it was never evicted,
 // otherwise read its frame from the swap device and verify the seal and
-// generation before the bytes reach the process.
+// generation before the bytes reach the process. A page that is not
+// present is not allocated (eviction and munmap free it), so zero fill
+// leaves it so: it reads as zeros until its first write.
 func (g *pager) faultIn(i int) error {
 	g.p.CPU.Cycles += g.k.Costs.PageFault
 	g.faults++
 	addr := g.pt.PageAddr(i)
 	if g.gens[i] == 0 {
-		if err := g.p.Mem.RawWrite(addr, zeroPage[:]); err != nil {
-			return err
-		}
 		g.pt.SetFlags(i, g.pt.Flags(i)|vm.PagePresent)
 		g.resident++
 		return nil
@@ -266,11 +261,9 @@ func (g *pager) tamper(i int, cause error) error {
 		k.record(p, pageFaultNum, addr, reason, ActionAudit)
 	}
 	// The frame is gone as far as this process is concerned: deliver a
-	// zero page and retire the generation so later faults do not re-read
-	// the tampered frame.
-	if err := g.p.Mem.RawWrite(addr, zeroPage[:]); err != nil {
-		return err
-	}
+	// zero page (eviction freed the page, so it reads as zeros) and
+	// retire the generation so later faults do not re-read the tampered
+	// frame.
 	g.gens[i] = 0
 	g.pt.SetFlags(i, g.pt.Flags(i)|vm.PagePresent)
 	g.resident++
@@ -372,13 +365,8 @@ func (k *Kernel) sysMunmapPaged(p *Process, addr, length uint32) uint32 {
 		return errno(sys.EINVAL)
 	}
 	for i := first; i <= last; i++ {
-		f := g.pt.Flags(i)
-		if f&vm.PagePresent != 0 {
+		if g.pt.Flags(i)&vm.PagePresent != 0 {
 			g.resident--
-			// Scrub so a future mapping cannot read the dead bytes.
-			if err := p.Mem.RawWrite(g.pt.PageAddr(i), zeroPage[:]); err != nil {
-				return errno(sys.EFAULT)
-			}
 		}
 		if g.gens[i] != 0 {
 			_ = k.FS.Unlink(g.framePath(i))
@@ -386,6 +374,8 @@ func (k *Kernel) sysMunmapPaged(p *Process, addr, length uint32) uint32 {
 		g.gens[i] = 0
 		g.pt.SetFlags(i, 0)
 	}
+	// Free the pages, so a future mapping cannot read the dead bytes.
+	p.Mem.Zero(addr, uint32(last-first+1)*vm.PageSize)
 	return 0
 }
 

@@ -15,6 +15,7 @@ package kernel
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	anet "asc/internal/net"
 	"asc/internal/sys"
@@ -256,13 +257,15 @@ func (k *Kernel) sysSendto(p *Process, fd, buf, n, addr uint32) uint32 {
 	if rc != 0 {
 		return rc
 	}
+	// The payload, one view per page, is copied once: into the socket.
+	var iov [2][]byte
 	if k.Net == nil {
 		// Legacy stub: capture the payload on the socket.
-		b, err := p.Mem.KernelRead(buf, n)
+		parts, err := p.Mem.KernelPieces(iov[:0], buf, n)
 		if err != nil {
 			return errno(sys.EFAULT)
 		}
-		e.sock.sent = append(e.sock.sent, append([]byte(nil), b...))
+		e.sock.sent = append(e.sock.sent, slices.Concat(parts...))
 		p.CPU.Cycles += uint64(n) * k.Costs.WritePerByte / 1000
 		return n
 	}
@@ -273,12 +276,12 @@ func (k *Kernel) sysSendto(p *Process, fd, buf, n, addr uint32) uint32 {
 	if n > anet.MaxMessage {
 		return errno(sys.EMSGSIZE)
 	}
-	b, err := p.Mem.KernelRead(buf, n)
+	parts, err := p.Mem.KernelPieces(iov[:0], buf, n)
 	if err != nil {
 		return errno(sys.EFAULT)
 	}
 	k.parkPoint(p)
-	if err := s.conn.Send(b, p.gateFor(s)); err != nil {
+	if err := s.conn.Send(p.gateFor(s), parts...); err != nil {
 		if errors.Is(err, anet.ErrReset) {
 			return errno(sys.EPIPE)
 		}

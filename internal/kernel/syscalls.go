@@ -7,6 +7,7 @@ package kernel
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"asc/internal/binfmt"
 	"asc/internal/sys"
@@ -402,26 +403,33 @@ func (k *Kernel) sysWrite(p *Process, fd, buf, n uint32) uint32 {
 	if n > 1<<20 {
 		return errno(sys.EINVAL)
 	}
-	b, err := p.Mem.KernelRead(buf, n)
+	// The buffer, one view per page, is copied once: straight into its
+	// destination.
+	var iov [2][]byte
+	parts, err := p.Mem.KernelPieces(iov[:0], buf, n)
 	if err != nil {
 		return errno(sys.EFAULT)
 	}
 	switch e.kind {
 	case fdConsole:
-		p.Stdout = append(p.Stdout, b...)
+		for _, b := range parts {
+			p.Stdout = append(p.Stdout, b...)
+		}
 	case fdFile:
-		if _, err := k.FS.WriteAt(e.node, e.offset, b); err != nil {
+		if _, err := k.FS.WriteAt(e.node, e.offset, parts...); err != nil {
 			return vfsErrno(err)
 		}
 		e.offset += n
 	case fdPipeW:
-		e.pipe.data = append(e.pipe.data, b...)
+		for _, b := range parts {
+			e.pipe.data = append(e.pipe.data, b...)
+		}
 	case fdSocket:
 		// write on a connected socket is sendto without a destination.
 		if k.Net != nil {
 			return k.sysSendto(p, fd, buf, n, 0)
 		}
-		e.sock.sent = append(e.sock.sent, append([]byte(nil), b...))
+		e.sock.sent = append(e.sock.sent, slices.Concat(parts...))
 	default:
 		return errno(sys.EINVAL)
 	}
@@ -503,6 +511,16 @@ func (k *Kernel) sysBrk(p *Process, addr uint32) uint32 {
 	}
 	if addr < start || addr >= ceiling {
 		return errno(sys.EINVAL)
+	}
+	if addr < p.brk {
+		// Scrub what the heap gives up while the heap segment still
+		// covers it, as an application write: the pages above the break
+		// are freed, the partial page is cleared, and the heap's store
+		// generation moves, so no cached verification over those bytes
+		// can hit. The heap's pages belong to no other segment, so the
+		// scrub runs to the end of the old break's page.
+		p.Mem.Zero(addr, (p.brk+vm.PageSize-1)&^(vm.PageSize-1)-addr)
+		p.Mem.BumpGeneration(addr, p.brk-addr)
 	}
 	p.brk = addr
 	p.Mem.Map(vm.Segment{Name: "heap", Start: start, End: addr, Perms: vm.PermRead | vm.PermWrite})

@@ -109,12 +109,14 @@ func dbl(dst, src *[Size]byte) {
 	}
 }
 
-// Sum computes the CMAC tag of msg.
+// Sum computes the CMAC tag of the message made of the parts of msg, in
+// order. The parts are absorbed where they lie: a caller whose message
+// is in pieces never joins them.
 //
 // It also reports the number of AES block operations performed, which the
 // simulated kernel uses for deterministic cycle accounting (the cycle model
 // charges a fixed cost per block operation; see internal/kernel).
-func (k *Keyed) Sum(msg []byte) (Tag, int) {
+func (k *Keyed) Sum(msg ...[]byte) (Tag, int) {
 	s := k.get()
 	s.x = [Size]byte{}
 	tag, blocks := k.finish(s, msg)
@@ -138,40 +140,54 @@ func (k *Keyed) get() *cmacScratch {
 	return new(cmacScratch)
 }
 
-// absorb CBC-chains every block of msg, whose length is a multiple of
-// Size, into s.x and returns the number of blocks. It is one bulk CBC
-// pass from s.x, a chunk at a time: each chunk is copied into s.buf and
-// encrypted there (msg itself never reaches the cipher interface, which
-// would move a caller's stack buffer to the heap), and the last
-// ciphertext block is the new chaining value.
-func (k *Keyed) absorb(s *cmacScratch, msg []byte) int {
-	if len(msg) == 0 {
-		return 0
+// absorb CBC-chains the first n bytes of the parts of msg, n a multiple
+// of Size, into s.x; the bytes after them, at most a block, go to s.last.
+// It returns the number of blocks chained. It is one bulk CBC pass from
+// s.x, a chunk at a time: the parts are copied into s.buf, across their
+// boundaries, and encrypted there (msg itself never reaches the cipher
+// interface, which would move a caller's stack buffer to the heap), and
+// the last ciphertext block is the new chaining value.
+func (k *Keyed) absorb(s *cmacScratch, msg [][]byte, n int) (blocks, tail int) {
+	if n > 0 {
+		if s.cbc == nil {
+			// Made on first use: a message of one block never needs it.
+			s.cbc = cipher.NewCBCEncrypter(k.block, s.x[:]).(cbcMode)
+		} else {
+			s.cbc.SetIV(s.x[:])
+		}
 	}
-	if s.cbc == nil {
-		// Made on first use: a message of one block never needs it.
-		s.cbc = cipher.NewCBCEncrypter(k.block, s.x[:]).(cbcMode)
-	} else {
-		s.cbc.SetIV(s.x[:])
+	fill, rem := 0, n // bytes waiting in s.buf, chained bytes not yet copied
+	for _, p := range msg {
+		for len(p) > 0 {
+			if rem == 0 {
+				c := copy(s.last[tail:], p)
+				tail, p = tail+c, p[c:]
+				continue
+			}
+			c := copy(s.buf[fill:min(chunk, fill+rem)], p)
+			fill, rem, p = fill+c, rem-c, p[c:]
+			if fill == chunk || rem == 0 {
+				s.cbc.CryptBlocks(s.buf[:fill], s.buf[:fill])
+				copy(s.x[:], s.buf[fill-Size:fill])
+				fill = 0
+			}
+		}
 	}
-	var out []byte
-	for rem := msg; len(rem) > 0; rem = rem[len(out):] {
-		out = s.buf[:copy(s.buf[:], rem)]
-		s.cbc.CryptBlocks(out, out)
-	}
-	copy(s.x[:], out[len(out)-Size:])
-	return len(msg) / Size
+	return n / Size, tail
 }
 
 // finish is the one CMAC core: from the chaining value in s.x it absorbs
 // every block of msg but the last, then the last block masked with its
 // subkey (K1 when complete, K2 after 10* padding), and returns the tag
 // and the AES block operations performed.
-func (k *Keyed) finish(s *cmacScratch, msg []byte) (Tag, int) {
-	n := chained(len(msg))
-	blocks := k.absorb(s, msg[:n]) + 1
+func (k *Keyed) finish(s *cmacScratch, msg [][]byte) (Tag, int) {
+	total := 0
+	for _, p := range msg {
+		total += len(p)
+	}
 	s.last = [Size]byte{}
-	tail := copy(s.last[:], msg[n:])
+	blocks, tail := k.absorb(s, msg, chained(total))
+	blocks++
 	sub := &k.k1
 	if tail < Size {
 		s.last[tail] = 0x80
@@ -225,7 +241,7 @@ func (k *Keyed) Precompute(msg []byte) (*ChainState, int) {
 	st := &ChainState{prefix: append([]byte(nil), msg[:n]...)}
 	s := k.get()
 	s.x = [Size]byte{}
-	blocks := k.absorb(s, st.prefix)
+	blocks, _ := k.absorb(s, [][]byte{st.prefix}, n)
 	st.x = s.x
 	k.scratch.Put(s)
 	return st, blocks
@@ -243,7 +259,7 @@ func (k *Keyed) SumFrom(st *ChainState, msg []byte) (Tag, int) {
 	}
 	s := k.get()
 	s.x = st.x
-	tag, blocks := k.finish(s, msg[len(st.prefix):])
+	tag, blocks := k.finish(s, [][]byte{msg[len(st.prefix):]})
 	k.scratch.Put(s)
 	return tag, blocks
 }
@@ -259,7 +275,7 @@ func (k *Keyed) SumBatch(msgs [][]byte, dst []Tag) ([]Tag, int) {
 	total := 0
 	for _, msg := range msgs {
 		s.x = [Size]byte{}
-		tag, blocks := k.finish(s, msg)
+		tag, blocks := k.finish(s, [][]byte{msg})
 		dst = append(dst, tag)
 		total += blocks
 	}

@@ -384,3 +384,26 @@ func TestSumBatchMatchesSum(t *testing.T) {
 		t.Errorf("empty batch charged %d blocks", blocks)
 	}
 }
+
+// TestSumParts: a message split into parts at any boundaries, empty parts
+// included, has the tag and block count of the joined message.
+func TestSumParts(t *testing.T) {
+	k, err := New(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 16, 17, 255, 256, 257, 600} {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i*13 + n)
+		}
+		want, wantBlocks := k.Sum(msg)
+		for _, cuts := range [][2]int{{0, 0}, {0, n}, {n / 3, n / 2}, {1, n - 1}, {n / 2, n / 2}} {
+			a, b := min(cuts[0], n), min(max(cuts[1], cuts[0]), n)
+			got, blocks := k.Sum(msg[:a], nil, msg[a:b], msg[b:])
+			if got != want || blocks != wantBlocks {
+				t.Errorf("n=%d cuts %v: %s (%d blocks), want %s (%d)", n, cuts, got, blocks, want, wantBlocks)
+			}
+		}
+	}
+}

@@ -51,6 +51,7 @@ package net
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -311,12 +312,16 @@ func (c *Conn) LocalPort() uint16 { return c.localPort }
 // RemotePort returns the peer's port (0 for socketpair endpoints).
 func (c *Conn) RemotePort() uint16 { return c.remotePort }
 
-// Send enqueues msg toward the peer, parking (via g) while the peer's
-// inbox is full. Oversized messages fail with ErrMsgSize; a closed
-// endpoint fails with ErrClosed, a closed peer with ErrReset (EPIPE at
-// the syscall layer). The bytes are copied.
-func (c *Conn) Send(msg []byte, g Gate) error {
-	if len(msg) > MaxMessage {
+// Send enqueues one message, the parts of msg in order, toward the peer,
+// parking (via g) while the peer's inbox is full. Oversized messages fail
+// with ErrMsgSize; a closed endpoint fails with ErrClosed, a closed peer
+// with ErrReset (EPIPE at the syscall layer). The bytes are copied, once.
+func (c *Conn) Send(g Gate, msg ...[]byte) error {
+	size := 0
+	for _, p := range msg {
+		size += len(p)
+	}
+	if size > MaxMessage {
 		return ErrMsgSize
 	}
 	n := c.n
@@ -329,9 +334,9 @@ func (c *Conn) Send(msg []byte, g Gate) error {
 		if c.peer.closed {
 			return ErrReset
 		}
-		if c.peer.inboxBytes+len(msg) <= connBuffer || len(c.peer.inbox) == 0 {
-			c.peer.inbox = append(c.peer.inbox, append([]byte(nil), msg...))
-			c.peer.inboxBytes += len(msg)
+		if c.peer.inboxBytes+size <= connBuffer || len(c.peer.inbox) == 0 {
+			c.peer.inbox = append(c.peer.inbox, slices.Concat(msg...))
+			c.peer.inboxBytes += size
 			c.peer.dataCond.Signal() // data available: one receiver takes it
 			n.wakePollers()
 			return nil

@@ -30,7 +30,7 @@ func TestListenDialAccept(t *testing.T) {
 	if c.LocalPort() != s.RemotePort() || c.LocalPort() < ephemeralBase {
 		t.Errorf("ephemeral port mismatch: %d vs %d", c.LocalPort(), s.RemotePort())
 	}
-	if err := c.Send([]byte("ping"), nil); err != nil {
+	if err := c.Send(nil, []byte("ping")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	msg, err := s.Recv(nil)
@@ -43,7 +43,7 @@ func TestMessageFraming(t *testing.T) {
 	n := New()
 	a, b := n.Pair()
 	for i := 0; i < 3; i++ {
-		if err := a.Send([]byte(fmt.Sprintf("m%d", i)), nil); err != nil {
+		if err := a.Send(nil, []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestDialRefusedAndBacklog(t *testing.T) {
 func TestCloseSemantics(t *testing.T) {
 	n := New()
 	a, b := n.Pair()
-	if err := a.Send([]byte("x"), nil); err != nil {
+	if err := a.Send(nil, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
@@ -104,10 +104,10 @@ func TestCloseSemantics(t *testing.T) {
 	if msg, err := b.Recv(nil); err != nil || msg != nil {
 		t.Fatalf("EOF Recv = %q, %v, want nil, nil", msg, err)
 	}
-	if err := b.Send([]byte("y"), nil); err != ErrReset {
+	if err := b.Send(nil, []byte("y")); err != ErrReset {
 		t.Fatalf("Send to closed peer = %v, want ErrReset", err)
 	}
-	if err := a.Send([]byte("z"), nil); err != ErrClosed {
+	if err := a.Send(nil, []byte("z")); err != ErrClosed {
 		t.Fatalf("Send on closed endpoint = %v, want ErrClosed", err)
 	}
 	a.Close() // idempotent
@@ -116,23 +116,23 @@ func TestCloseSemantics(t *testing.T) {
 func TestSendBounds(t *testing.T) {
 	n := New()
 	a, b := n.Pair()
-	if err := a.Send(make([]byte, MaxMessage+1), nil); err != ErrMsgSize {
+	if err := a.Send(nil, make([]byte, MaxMessage+1)); err != ErrMsgSize {
 		t.Fatalf("oversized Send = %v, want ErrMsgSize", err)
 	}
 	// Fill the peer inbox to the bound; the next send would block.
 	chunk := make([]byte, MaxMessage)
 	for i := 0; i < connBuffer/MaxMessage; i++ {
-		if err := a.Send(chunk, nil); err != nil {
+		if err := a.Send(nil, chunk); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if err := a.Send([]byte("one more"), nil); err != ErrWouldBlock {
+	if err := a.Send(nil, []byte("one more")); err != ErrWouldBlock {
 		t.Fatalf("Send into full buffer = %v, want ErrWouldBlock", err)
 	}
 	if _, err := b.Recv(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send([]byte("fits now"), nil); err != nil {
+	if err := a.Send(nil, []byte("fits now")); err != nil {
 		t.Fatalf("Send after drain: %v", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestBlockingWithGate(t *testing.T) {
 				if msg == nil {
 					break
 				}
-				if err := c.Send(msg, gate); err != nil {
+				if err := c.Send(gate, msg); err != nil {
 					t.Errorf("server Send: %v", err)
 					return
 				}
@@ -195,7 +195,7 @@ func TestBlockingWithGate(t *testing.T) {
 			}
 			for j := 0; j < 16; j++ {
 				want := fmt.Sprintf("c%d-%d", id, j)
-				if err := c.Send([]byte(want), gate); err != nil {
+				if err := c.Send(gate, []byte(want)); err != nil {
 					t.Errorf("client %d Send: %v", id, err)
 					return
 				}

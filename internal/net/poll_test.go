@@ -67,7 +67,7 @@ func TestPollReadiness(t *testing.T) {
 		t.Fatalf("fresh conn: ready=%d in=%v out=%v", got, es[0].In, es[0].Out)
 	}
 	// Data arrives: readable too.
-	if err := c.Send([]byte("x"), nil); err != nil {
+	if err := c.Send(nil, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Poll(es, false, nil); got != 1 || !es[0].In || !es[0].Out {
@@ -76,7 +76,7 @@ func TestPollReadiness(t *testing.T) {
 	// Fill the peer's inbox: not writable (each message counts its bytes).
 	big := make([]byte, MaxMessage)
 	for i := 0; i < connBuffer/MaxMessage; i++ {
-		if err := s.Send(big, nil); err != nil {
+		if err := s.Send(nil, big); err != nil {
 			t.Fatalf("fill send %d: %v", i, err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestPollBlocking(t *testing.T) {
 		defer wg.Done()
 		gate.Enter()
 		defer gate.Leave()
-		if err := a.Send([]byte("wake"), gate); err != nil {
+		if err := a.Send(gate, []byte("wake")); err != nil {
 			t.Errorf("Send: %v", err)
 		}
 	}()

@@ -28,7 +28,7 @@ import (
 // does not verify, and for an authenticated header of the wrong magic or
 // version.
 type Domain struct {
-	prefix  string
+	prefix  []byte
 	magic   string
 	version uint32
 
@@ -38,20 +38,21 @@ type Domain struct {
 // The six domains.
 var (
 	// Checkpoint seals a process checkpoint (package ckpt); version 2
-	// added the paged-memory section, and version 3 stores each segment
-	// as runs of its nonzero pages plus the two backed region lengths.
-	Checkpoint = Domain{"asc/ckpt/seal/v1\x00", "ASCK", 3, ErrTruncated, ErrSeal, ErrMalformed}
+	// added the paged-memory section, version 3 stored each segment as
+	// runs of its nonzero pages, and version 4 drops the lengths of the
+	// two memory regions that version 3 also carried.
+	Checkpoint = Domain{[]byte("asc/ckpt/seal/v1\x00"), "ASCK", 4, ErrTruncated, ErrSeal, ErrMalformed}
 	// Program tags an installed executable's serialized bytes; it has no
 	// blob, only Tag.
-	Program = Domain{prefix: "asc/ckpt/prog/v1\x00"}
+	Program = Domain{prefix: []byte("asc/ckpt/prog/v1\x00")}
 	// Migration seals the envelope a checkpoint crosses nodes in.
-	Migration = Domain{"asc/ckpt/mig/v1\x00", "ASCM", 1, ErrTruncated, ErrSeal, ErrMalformed}
+	Migration = Domain{[]byte("asc/ckpt/mig/v1\x00"), "ASCM", 1, ErrTruncated, ErrSeal, ErrMalformed}
 	// Swap seals one evicted page on the authenticated swap device.
-	Swap = Domain{"asc/swap/seal/v1\x00", "ASSW", 1, ErrSwapFrame, ErrSwapSeal, ErrSwapFrame}
+	Swap = Domain{[]byte("asc/swap/seal/v1\x00"), "ASSW", 1, ErrSwapFrame, ErrSwapSeal, ErrSwapFrame}
 	// WAL chains the director's log records; its header starts the log.
-	WAL = Domain{"asc/dir/wal/v1\x00", "ASCW", 1, ErrTamper, ErrTamper, ErrTamper}
+	WAL = Domain{[]byte("asc/dir/wal/v1\x00"), "ASCW", 1, ErrTamper, ErrTamper, ErrTamper}
 	// Anchor seals the WAL's freshness pointer.
-	Anchor = Domain{"asc/dir/anchor/v1\x00", "ASCA", 1, ErrTamper, ErrTamper, ErrTamper}
+	Anchor = Domain{[]byte("asc/dir/anchor/v1\x00"), "ASCA", 1, ErrTamper, ErrTamper, ErrTamper}
 )
 
 // HeaderSize is the length of a domain header: magic and version.
@@ -112,17 +113,11 @@ func (d *Domain) Open(k *mac.Keyed, blob []byte, min int) ([]byte, error) {
 	return d.SealedHeader(body)
 }
 
-// Tag returns the CMAC of d's prefix followed by every part of msg.
+// Tag returns the CMAC of d's prefix followed by every part of msg. The
+// parts are MACed where they lie, never joined.
 func (d *Domain) Tag(k *mac.Keyed, msg ...[]byte) mac.Tag {
-	n := len(d.prefix)
-	for _, p := range msg {
-		n += len(p)
-	}
-	b := append(make([]byte, 0, n), d.prefix...)
-	for _, p := range msg {
-		b = append(b, p...)
-	}
-	tag, _ := k.Sum(b)
+	parts := append(make([][]byte, 0, 4), d.prefix)
+	tag, _ := k.Sum(append(parts, msg...)...)
 	return tag
 }
 

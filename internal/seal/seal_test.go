@@ -3,7 +3,6 @@ package seal
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"asc/internal/mac"
@@ -18,10 +17,28 @@ var domains = []*Domain{&Checkpoint, &Program, &Migration, &Swap, &WAL, &Anchor}
 func TestDomainsDistinct(t *testing.T) {
 	for i, a := range domains {
 		for j, b := range domains {
-			if i != j && strings.HasPrefix(a.prefix, b.prefix) {
+			if i != j && bytes.HasPrefix(a.prefix, b.prefix) {
 				t.Errorf("domain prefix %q starts with %q", a.prefix, b.prefix)
 			}
 		}
+	}
+}
+
+// TestTagAllocs: Tag MACs the prefix and the parts where they lie, so
+// tagging a 64 KiB blob allocates nothing.
+func TestTagAllocs(t *testing.T) {
+	k, err := mac.New(bytes.Repeat([]byte{7}, mac.KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 64<<10)
+	var prev mac.Tag
+	Checkpoint.Tag(k, blob) // warm the MAC scratch pool
+	if n := testing.AllocsPerRun(20, func() {
+		Checkpoint.Tag(k, blob)
+		WAL.Tag(k, prev[:], blob)
+	}); n != 0 {
+		t.Errorf("Tag over a 64 KiB blob allocates %.1f times, want 0", n)
 	}
 }
 

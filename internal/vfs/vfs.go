@@ -597,24 +597,31 @@ func (fs *FS) truncateNode(n *Node, size uint32) error {
 	return nil
 }
 
-// WriteAt writes b into the file node at the given offset, growing it as
-// needed, and returns the number of bytes written.
-func (fs *FS) WriteAt(n *Node, off uint32, b []byte) (int, error) {
+// WriteAt writes the parts of b, in order, into the file node at the
+// given offset, growing it as needed, and returns the number of bytes
+// written.
+func (fs *FS) WriteAt(n *Node, off uint32, b ...[]byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if n.Kind != KindFile {
 		return 0, ErrIsDir
 	}
-	end := int(off) + len(b)
+	size := 0
+	for _, p := range b {
+		size += len(p)
+	}
+	end := int(off) + size
 	if end > MaxFileSize || off > MaxFileSize {
 		return 0, ErrNoSpace
 	}
 	if end > len(n.Data) {
 		n.Data = append(n.Data, make([]byte, end-len(n.Data))...)
 	}
-	copy(n.Data[off:end], b)
+	for _, p := range b {
+		off += uint32(copy(n.Data[off:end], p))
+	}
 	n.mtime = fs.tick()
-	return len(b), nil
+	return size, nil
 }
 
 // Append atomically appends b to the end of the file node and returns

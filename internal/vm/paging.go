@@ -29,6 +29,8 @@ const (
 	PageMapped PageFlags = 1 << 3
 	// PagePresent: the page's bytes are resident in memory (a mapped,
 	// non-present page lives on the swap device or is zero-fill-on-demand).
+	// Residency is not allocation: a present page never written is not
+	// allocated, and reads as the shared zero page.
 	PagePresent PageFlags = 1 << 4
 	// PageAccessed is set on every access; the clock eviction policy
 	// clears it to find second-chance victims.
@@ -243,16 +245,14 @@ func (m *Memory) pageCheck(addr, n uint32, perm uint8) error {
 	return nil
 }
 
-// RawRead returns an aliasing view of [addr, addr+n) with no permission
-// or paging checks: the accessor the pager itself (and checkpoint
-// capture) uses to move page bytes without recursing into the fault
-// path. The view follows the Memory contract: read-only, valid until the
-// next access.
+// RawRead returns a view of [addr, addr+n) with no permission or paging
+// checks: the accessor the pager itself uses to move page bytes without
+// recursing into the fault path. The view follows the Memory contract.
 func (m *Memory) RawRead(addr, n uint32) ([]byte, error) {
 	if !m.inBounds(addr, n) {
 		return nil, &Fault{Addr: addr, Msg: "raw read out of bounds"}
 	}
-	return m.span(addr-m.base, n), nil
+	return m.view(addr, n), nil
 }
 
 // RawWrite copies b to addr with no permission or paging checks and no
@@ -261,6 +261,6 @@ func (m *Memory) RawWrite(addr uint32, b []byte) error {
 	if !m.inBounds(addr, uint32(len(b))) {
 		return &Fault{Addr: addr, Msg: "raw write out of bounds"}
 	}
-	copy(m.span(addr-m.base, uint32(len(b))), b)
+	m.write(addr, b)
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// testPager makes every faulting page present with zero fill and counts
-// invocations; fail makes PageFault return an error instead.
+// testPager makes every faulting page present with zero fill (freeing
+// whatever the page held, as the kernel's pager leaves a zero-filled page
+// unallocated) and counts invocations; fail makes PageFault return an
+// error instead.
 type testPager struct {
 	mem    *Memory
 	pt     *PageTable
@@ -24,15 +26,12 @@ func (p *testPager) PageFault(addr, n uint32, access uint8) error {
 	}
 	first, _ := p.pt.Index(addr)
 	last, _ := p.pt.Index(addr + n - 1)
-	zero := make([]byte, PageSize)
 	for i := first; i <= last; i++ {
 		f := p.pt.Flags(i)
 		if f&PageMapped == 0 || f&PagePresent != 0 {
 			continue
 		}
-		if err := p.mem.RawWrite(p.pt.PageAddr(i), zero); err != nil {
-			return err
-		}
+		p.mem.Zero(p.pt.PageAddr(i), PageSize)
 		p.filled = append(p.filled, p.pt.PageAddr(i))
 		p.pt.SetFlags(i, f|PagePresent)
 	}

@@ -20,15 +20,10 @@ const (
 	dArenaStart = dTop - dStack - dArenaPages*PageSize
 )
 
-// peek reads the byte at offset off without growing any region.
+// peek reads the byte at offset off without allocating a page.
 func peek(m *Memory, off uint32) byte {
-	if off < uint32(len(m.low)) {
-		return m.low[off]
-	}
-	if lo := m.size - uint32(len(m.high)); off >= lo {
-		return m.high[off-lo]
-	}
-	return 0
+	a := m.base + off
+	return m.lookup(a >> PageShift)[a&(PageSize-1)]
 }
 
 // world is one address space under test: a memory, its CPU, and the
@@ -66,10 +61,11 @@ func errText(err error) string {
 }
 
 // TestSparseMatchesFlat runs seeded random access sequences against a
-// sparse memory, a memory forced flat up front, and a plain byte slice,
-// and requires identical bytes, results, faults, store generations and
-// pager activity. Odd seeds end with a span across the whole gap, which
-// collapses the sparse memory into one flat slice mid-run.
+// sparse memory, a memory with every page allocated up front, and a
+// plain byte slice, and requires identical bytes, results, faults, store
+// generations and pager activity, and that no read allocates a page. Odd
+// seeds write one span across the whole space mid-run, after which reads
+// and NonzeroRuns over all of it must still allocate nothing.
 func TestSparseMatchesFlat(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { runDifferential(t, seed, 3000) })
@@ -79,11 +75,11 @@ func TestSparseMatchesFlat(t *testing.T) {
 func runDifferential(t *testing.T, seed int64, steps int) {
 	r := rand.New(rand.NewSource(seed))
 	sp, ref := newWorld(), newWorld()
-	if _, err := ref.mem.RawRead(dBase, dSize); err != nil {
+	if err := ref.mem.RawWrite(dBase, make([]byte, dSize)); err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.mem.low) != dSize {
-		t.Fatalf("reference is not flat: low %d high %d", len(ref.mem.low), len(ref.mem.high))
+	if len(ref.mem.pages) != dSize/PageSize {
+		t.Fatalf("reference holds %d pages, want all %d", len(ref.mem.pages), dSize/PageSize)
 	}
 	model := make([]byte, dSize)
 
@@ -97,10 +93,12 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			return dArenaStart + uint32(r.Intn(dArenaPages*PageSize))
 		case 3:
 			return dBase + uint32(r.Intn(dSize))
-		case 4: // the sparse low region's edge
-			return dBase + uint32(len(sp.mem.low)) - 8 + uint32(r.Intn(16))
-		case 5: // the sparse high region's edge
-			return dTop - uint32(len(sp.mem.high)) - 8 + uint32(r.Intn(16))
+		case 4, 5: // the first or last byte of an allocated page
+			edge := uint32(dBase)
+			if n := len(sp.mem.pages); n > 0 {
+				edge = (sp.mem.pages[r.Intn(n)].pn + uint32(r.Intn(2))) << PageShift
+			}
+			return edge - 8 + uint32(r.Intn(16))
 		case 6:
 			return dTop - uint32(r.Intn(8))
 		default:
@@ -171,6 +169,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		n := length()
 		var wrote []byte // bytes landed at addr by a successful write
 		var se, fe error
+		pages := len(sp.mem.pages)
 		op := r.Intn(13)
 		if step == straddleAt {
 			// A raw write across the gap (and the arena, which the paged
@@ -258,6 +257,9 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			check(step, "kernel load", sv, fv)
 		}
 		check(step, fmt.Sprintf("op %d error at %#x+%d", op, addr, n), errText(se), errText(fe))
+		if isRead := op >= 6 && op <= 9 || op == 12; isRead && len(sp.mem.pages) > pages {
+			t.Fatalf("seed %d step %d: read op %d allocated %d pages", seed, step, op, len(sp.mem.pages)-pages)
+		}
 		applyFills(step)
 		if se == nil && wrote != nil {
 			put(addr, wrote)
@@ -271,25 +273,35 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		_, fg := ref.mem.SnapshotSegments()
 		check(step, "store generations", sg, fg)
 		check(step, "watch generation", sp.mem.WatchGeneration(), ref.mem.WatchGeneration())
-		if l, h := len(sp.mem.low), len(sp.mem.high); l+h > dSize {
-			t.Fatalf("seed %d step %d: regions overlap: low %d high %d", seed, step, l, h)
-		}
-		if step%500 == 0 || step == steps-1 {
+		if step%500 == 0 || step == steps-1 || step == straddleAt {
 			compareRange(step, dBase, dSize)
+			readAll(t, sp.mem)
 		}
-	}
-	if straddleAt >= 0 && len(sp.mem.low) != dSize {
-		t.Fatalf("seed %d: straddling write left low %d high %d, want flat", seed, len(sp.mem.low), len(sp.mem.high))
 	}
 }
 
-// TestSparseGrowthKeepsViews checks that a view taken before a region
-// grows (or the memory flattens) still holds the bytes it showed, and
-// that the grown memory holds them too.
+// readAll reads the whole space through RawRead and NonzeroRuns and fails
+// if either allocates a page.
+func readAll(t *testing.T, m *Memory) {
+	t.Helper()
+	pages := len(m.pages)
+	if _, err := m.RawRead(m.Base(), m.Limit()-m.Base()); err != nil {
+		t.Fatal(err)
+	}
+	m.NonzeroRuns(m.Base(), m.Limit(), func(uint32, []byte) {})
+	if len(m.pages) != pages {
+		t.Fatalf("reading the whole space allocated %d pages", len(m.pages)-pages)
+	}
+}
+
+// TestSparseGrowthKeepsViews checks the view contract as the memory
+// grows: a view of one page aliases it, a view across pages is a copy,
+// a view of a page never written shows zeros, and every view keeps the
+// bytes it showed while other pages are allocated.
 func TestSparseGrowthKeepsViews(t *testing.T) {
 	m := NewMemory(dBase, dSize)
-	low := []byte("low region bytes")
-	high := []byte("high region bytes")
+	low := []byte("low page bytes")
+	high := []byte("high page bytes")
 	hiAddr := uint32(dTop - 64)
 	if err := m.KernelWrite(dBase+8, low); err != nil {
 		t.Fatal(err)
@@ -299,76 +311,102 @@ func TestSparseGrowthKeepsViews(t *testing.T) {
 	}
 	lowView, _ := m.KernelRead(dBase+8, uint32(len(low)))
 	highView, _ := m.KernelRead(hiAddr, uint32(len(high)))
-	lowCap, highCap := len(m.low), len(m.high)
-	if lowCap != PageSize || highCap != PageSize {
-		t.Fatalf("first touch grew low to %d and high to %d bytes, want one page each", lowCap, highCap)
+	gapView, _ := m.KernelRead(dBase+0x8000, 16)
+	if len(m.pages) != 2 {
+		t.Fatalf("first touch allocated %d pages, want one page each end", len(m.pages))
 	}
 
-	// Grow each region into the gap.
-	if err := m.KernelWrite(dBase+5*PageSize, []byte{1}); err != nil {
-		t.Fatal(err)
+	// Allocate pages at each end and in the gap.
+	for _, a := range []uint32{dBase + 5*PageSize, dTop - 5*PageSize, dBase + 0x8000} {
+		if err := m.KernelWrite(a, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := m.KernelWrite(dTop-5*PageSize, []byte{2}); err != nil {
-		t.Fatal(err)
+	if len(m.pages) != 5 {
+		t.Fatalf("memory holds %d pages, want 5", len(m.pages))
 	}
-	if len(m.low) <= lowCap || len(m.high) <= highCap {
-		t.Fatalf("regions did not grow: low %d high %d", len(m.low), len(m.high))
-	}
-	if !bytes.Equal(lowView, low) || !bytes.Equal(highView, high) {
-		t.Fatalf("views changed across growth: %q %q", lowView, highView)
+	if !bytes.Equal(lowView, low) || !bytes.Equal(highView, high) || !bytes.Equal(gapView, make([]byte, 16)) {
+		t.Fatalf("views changed across growth: %q %q %v", lowView, highView, gapView)
 	}
 
-	// A span across the whole gap flattens the memory.
+	// A one-page view aliases its page; a view across pages is a copy.
+	if err := m.KernelWrite(dBase+8, []byte{'L'}); err != nil {
+		t.Fatal(err)
+	}
+	if lowView[0] != 'L' {
+		t.Fatalf("one-page view did not alias its page")
+	}
 	all, err := m.KernelRead(dBase, dSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.low) != dSize || m.high != nil {
-		t.Fatalf("straddling span did not flatten: low %d high %d", len(m.low), len(m.high))
+	if len(m.pages) != 5 {
+		t.Fatalf("a view across the space allocated pages: %d", len(m.pages))
 	}
-	if !bytes.Equal(lowView, low) || !bytes.Equal(highView, high) {
-		t.Fatalf("views changed across flattening: %q %q", lowView, highView)
+	if all[8] != 'L' || !bytes.Equal(all[hiAddr-dBase:][:len(high)], high) ||
+		all[5*PageSize] != 1 || all[dSize-5*PageSize] != 1 || all[0x8000] != 1 {
+		t.Fatalf("view across pages lost bytes")
 	}
-	if !bytes.Equal(all[8:8+len(low)], low) || !bytes.Equal(all[hiAddr-dBase:][:len(high)], high) ||
-		all[5*PageSize] != 1 || all[dSize-5*PageSize] != 2 {
-		t.Fatalf("flattened memory lost bytes")
+	if err := m.KernelWrite(dBase+9, []byte{'X'}); err != nil {
+		t.Fatal(err)
+	}
+	if all[9] == 'X' {
+		t.Fatalf("view across pages aliases memory")
 	}
 }
 
 // TestSparseTouchesOnlyWhatIsUsed checks the point of the layout: an
 // image at the bottom and a stack at the top of a 4 MiB space allocate a
-// few pages, not the space.
+// few pages, not the space, and Zero frees whole pages.
 func TestSparseTouchesOnlyWhatIsUsed(t *testing.T) {
 	m := NewMemory(dBase, 4<<20)
-	if err := m.KernelWrite(dBase, make([]byte, 3*PageSize+100)); err != nil {
+	if err := m.KernelWrite(dBase, bytes.Repeat([]byte{7}, 3*PageSize+100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.KernelStore32(m.Limit()-4, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.low) + len(m.high); got != 5*PageSize {
-		t.Fatalf("allocated %d bytes, want %d", got, 5*PageSize)
+	if got := len(m.pages); got != 5 {
+		t.Fatalf("allocated %d pages, want 5", got)
 	}
 	if v, err := m.KernelLoad32(dBase + 2<<20); err != nil || v != 0 {
 		t.Fatalf("gap load = %d, %v; want 0", v, err)
 	}
+	// Zero frees the pages it covers whole and clears the partial ones.
+	m.Zero(dBase+10, 2*PageSize)
+	if got := len(m.pages); got != 4 {
+		t.Fatalf("after Zero %d pages, want 4", got)
+	}
+	for _, a := range []uint32{dBase + 9, dBase + 10, dBase + PageSize, dBase + 2*PageSize + 9, dBase + 2*PageSize + 10} {
+		want := uint32(7)
+		if a >= dBase+10 && a < dBase+10+2*PageSize {
+			want = 0
+		}
+		if b, _ := m.KernelRead(a, 1); uint32(b[0]) != want {
+			t.Errorf("byte %#x = %d after Zero, want %d", a, b[0], want)
+		}
+	}
 }
 
-// TestNonzeroRuns: the walker yields the nonzero pages of the backed
-// regions as runs clipped to the asked range, skips zero pages and the
-// gap, grows nothing, and gives the same runs on a flat memory.
+// TestNonzeroRuns: the walker yields the nonzero allocated pages, clipped
+// to the asked range, in address order, skips zero and unallocated
+// pages, allocates nothing, and gives the same runs on a memory with
+// every page allocated.
 func TestNonzeroRuns(t *testing.T) {
 	type run struct{ addr, n uint32 }
 	fill := func(m *Memory) {
 		for _, w := range []struct{ addr, v uint32 }{
 			{dBase + 0x10, 1},             // page 0
 			{dBase + 0x1ffe, 0x0202_0202}, // pages 1 and 2, one run with page 0
-			{dBase + 0x4000, 4},           // page 4; page 3 is backed and zero
+			{dBase + 0x4000, 4},           // page 4; page 3 is allocated and zero
 			{dTop - 4, 5},                 // the top page
 		} {
 			if err := m.KernelStore32(w.addr, w.v); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := m.KernelStore32(dBase+0x3000, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want := []run{
@@ -376,29 +414,33 @@ func TestNonzeroRuns(t *testing.T) {
 		{dBase + 0x4000, 0x1000},
 		{dTop - PageSize, PageSize - 2},
 	}
-	sparse, flat := NewMemory(dBase, dSize), NewMemory(dBase, dSize)
-	fill(sparse)
-	if err := flat.ResetRegions(dSize, 0); err != nil {
+	sparse, full := NewMemory(dBase, dSize), NewMemory(dBase, dSize)
+	if err := full.RawWrite(dBase, make([]byte, dSize)); err != nil {
 		t.Fatal(err)
 	}
-	fill(flat)
-	for name, m := range map[string]*Memory{"sparse": sparse, "flat": flat} {
-		low, high := m.Regions()
+	fill(sparse)
+	fill(full)
+	for name, m := range map[string]*Memory{"sparse": sparse, "full": full} {
+		pages := len(m.pages)
 		var got []run
 		m.NonzeroRuns(dBase+8, dTop-2, func(addr uint32, b []byte) {
 			if bytes.Count(b, []byte{0}) == len(b) {
-				t.Errorf("%s: all-zero run at %#x", name, addr)
+				t.Errorf("%s: all-zero page at %#x", name, addr)
+			}
+			if len(b) > PageSize || addr>>PageShift != (addr+uint32(len(b))-1)>>PageShift {
+				t.Errorf("%s: run at %#x of %d bytes crosses a page", name, addr, len(b))
+			}
+			if n := len(got); n > 0 && got[n-1].addr+got[n-1].n == addr {
+				got[n-1].n += uint32(len(b))
+				return
 			}
 			got = append(got, run{addr, uint32(len(b))})
 		})
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: runs %x, want %x", name, got, want)
 		}
-		if l, h := m.Regions(); l != low || h != high {
-			t.Errorf("%s: regions grew from %d+%d to %d+%d", name, low, high, l, h)
+		if len(m.pages) != pages {
+			t.Errorf("%s: walking allocated %d pages", name, len(m.pages)-pages)
 		}
-	}
-	if err := sparse.ResetRegions(dSize-PageSize, 2*PageSize); err == nil {
-		t.Error("ResetRegions accepted overlapping regions")
 	}
 }

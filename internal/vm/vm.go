@@ -7,11 +7,11 @@
 // the kernel adds trap and verification costs on system calls, so
 // measured overheads are deterministic and noise-free.
 //
-// A Memory is backed by two lazily grown regions, one at each end of the
-// address space (program image and heap below, stack and mmap arena
-// above), so a process allocates only the bytes it touches; the
-// untouched gap reads as zeros. Views of memory handed to the kernel are
-// read-only and valid until the next access to that memory.
+// A Memory is a sparse array of 4 KiB pages. A page is allocated on its
+// first write, and a read of a page never written sees one shared zero
+// page, so a process pays for the pages it writes, not for its address
+// space. Views of memory handed to the kernel are read-only and valid
+// until the next write to that memory (see Memory).
 //
 // The stack segment is mapped read-write-execute, as was typical of the
 // 2005-era x86 systems the paper targets: code injected via a buffer
@@ -21,8 +21,12 @@ package vm
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"asc/internal/isa"
 )
@@ -75,20 +79,24 @@ type WriteFaulter interface {
 
 // Memory is a segment-protected address space over [base, base+size).
 //
-// The bytes live in two lazily grown regions: low covers
-// [base, base+len(low)) — image, data, bss and heap — and high covers
-// [base+size-len(high), base+size) — the stack, and the mmap arena in
-// paged mode. The gap between them reads as zeros and is never
-// allocated; the first access that touches it grows the nearer region
-// (page-rounded, at least doubling), and an access that would make the
-// regions overlap collapses them into one flat slice. Every access goes
-// through span, so a process pays for the memory it touches, not for the
-// whole address space.
+// The bytes live in pages of PageSize bytes, aligned in the address
+// space. A page is allocated on its first write, by any writer, and freed
+// by Zero; a read of a page that is not allocated sees the shared zero
+// page and allocates nothing. The pages one write allocates share one
+// block of the heap, which the collector reclaims once Zero has freed
+// all of them. The allocated pages are kept in address
+// order, and a small direct-mapped cache of the pages last looked up
+// (by page number modulo its size) keeps a lookup off that index on the
+// load/store path, so the image, heap and stack pages a loop touches do
+// not evict each other.
 //
-// Views returned by KernelRead and RawRead alias the region holding the
-// span. A view is read-only, and valid until the next access to that
-// memory: an access that grows a region moves the bytes, so a view taken
-// earlier keeps the bytes it showed but no longer sees later stores.
+// Views. KernelRead and RawRead return a view of a span: a slice of its
+// page (or of the zero page) when the span lies in one page, a fresh copy
+// when it crosses a page boundary. A view is read-only and valid until
+// the next write to the memory. Reads neither move nor allocate pages, so
+// a caller may hold several views at once; whether a view shows a later
+// write is unspecified. KernelPieces returns a span as per-page views
+// instead, for callers that copy it on anyway, with no copy of its own.
 //
 // Each segment carries a store-generation counter that is bumped whenever
 // the *application* writes into it: CPU store instructions and kernel
@@ -99,10 +107,13 @@ type WriteFaulter interface {
 // verification cache uses the counters to prove that MAC-checked bytes
 // are unchanged since they were last verified.
 type Memory struct {
-	base   uint32
-	size   uint32
-	low    []byte // [base, base+len(low))
-	high   []byte // [base+size-len(high), base+size)
+	base uint32
+	size uint32
+	// The allocated pages, by page number (address >> PageShift), in
+	// address order.
+	pages []pageRef
+	// cache[pn%len(cache)] is the page last looked up that maps there.
+	cache  [8]pageRef
 	segs   []Segment
 	gens   []uint64 // store-generation counters, parallel to segs
 	wfault WriteFaulter
@@ -123,6 +134,23 @@ type Memory struct {
 	pt    *PageTable
 	pager PageFaulter
 }
+
+// page is one page of memory.
+type page [PageSize]byte
+
+// zeroPage is what a read of an unallocated page sees. Nothing writes it.
+var zeroPage page
+
+// pageRef is a page and its page number.
+type pageRef struct {
+	pn uint32
+	p  *page
+}
+
+// noCache is the empty lookup cache: its page numbers are beyond every
+// page.
+var noCache = [8]pageRef{{pn: ^uint32(0)}, {pn: ^uint32(0)}, {pn: ^uint32(0)}, {pn: ^uint32(0)},
+	{pn: ^uint32(0)}, {pn: ^uint32(0)}, {pn: ^uint32(0)}, {pn: ^uint32(0)}}
 
 // SetWriteFaulter installs (or, with nil, removes) the torn-store
 // injector. With no faulter installed every write lands in full.
@@ -167,9 +195,9 @@ func (m *Memory) bumpWatch(addr, end uint32) {
 }
 
 // NewMemory creates an address space covering [base, base+size). No
-// bytes are allocated until they are first accessed.
+// page is allocated until it is first written.
 func NewMemory(base, size uint32) *Memory {
-	return &Memory{base: base, size: size}
+	return &Memory{base: base, size: size, cache: noCache}
 }
 
 // Base returns the lowest mapped address.
@@ -178,124 +206,136 @@ func (m *Memory) Base() uint32 { return m.base }
 // Limit returns the address one past the highest mapped byte.
 func (m *Memory) Limit() uint32 { return m.base + m.size }
 
-// span returns the bytes at offsets [off, off+n) from base, which the
-// caller has bounds-checked. The slice lies inside one region and
-// aliases it.
-func (m *Memory) span(off, n uint32) []byte {
-	if end := off + n; end <= uint32(len(m.low)) {
-		return m.low[off:end]
+// lookup returns page pn, or the zero page if it is not allocated.
+func (m *Memory) lookup(pn uint32) *page {
+	if c := &m.cache[pn%uint32(len(m.cache))]; c.pn == pn {
+		return c.p
 	}
-	if lo := m.size - uint32(len(m.high)); off >= lo {
-		return m.high[off-lo : off-lo+n]
-	}
-	return m.grow(off, n)
+	return m.miss(pn)
 }
 
-// grow makes [off, off+n) addressable when it touches the gap between
-// the regions: the region that needs fewer new bytes to cover the span
-// grows to at least twice its length, page-rounded and clamped at the
-// other region. A span the chosen region cannot cover without overlapping
-// the other (one that straddles both) collapses them into one flat slice.
-func (m *Memory) grow(off, n uint32) []byte {
-	if n == 0 {
-		return []byte{}
+// miss is lookup past the cache: it finds page pn in the index and
+// caches it.
+func (m *Memory) miss(pn uint32) *page {
+	c := &m.cache[pn%uint32(len(m.cache))]
+	*c = pageRef{pn, &zeroPage}
+	if i, ok := m.index(pn); ok {
+		c.p = m.pages[i].p
 	}
-	end := off + n
-	lowLen, highLen := uint32(len(m.low)), uint32(len(m.high))
-	hiStart := m.size - highLen
-	if end-lowLen <= hiStart-off {
-		if l, ok := growLen(lowLen, end, hiStart); ok {
-			low := make([]byte, l)
-			copy(low, m.low)
-			m.low = low
-			return low[off:end]
+	return c.p
+}
+
+// index returns where page pn is, or would be, in m.pages, and whether
+// it is allocated.
+func (m *Memory) index(pn uint32) (int, bool) {
+	return slices.BinarySearchFunc(m.pages, pn, func(r pageRef, pn uint32) int { return cmp.Compare(r.pn, pn) })
+}
+
+// writable returns page pn, allocating it on its first write together
+// with the pages after it up to last that are not allocated either.
+func (m *Memory) writable(pn, last uint32) *page {
+	if p := m.lookup(pn); p != &zeroPage {
+		return p
+	}
+	m.alloc(pn, last)
+	return m.lookup(pn)
+}
+
+// alloc allocates the pages first through last that are not allocated,
+// all from one block: a write that spans several new pages (the loader's
+// image, a restored run) costs one allocation.
+func (m *Memory) alloc(first, last uint32) {
+	n := 0
+	for pn := first; pn <= last; pn++ {
+		if m.lookup(pn) == &zeroPage {
+			n++
 		}
-	} else if l, ok := growLen(highLen, m.size-off, m.size-lowLen); ok {
-		high := make([]byte, l)
-		copy(high[l-highLen:], m.high)
-		m.high = high
-		lo := m.size - l
-		return high[off-lo : end-lo]
 	}
-	flat := make([]byte, m.size)
-	copy(flat, m.low)
-	copy(flat[hiStart:], m.high)
-	m.low, m.high = flat, nil
-	return flat[off:end]
+	block := make([]page, n)
+	m.pages = slices.Grow(m.pages, n)
+	for pn := first; pn <= last && len(block) > 0; pn++ {
+		if m.lookup(pn) == &zeroPage {
+			i, _ := m.index(pn)
+			m.pages = slices.Insert(m.pages, i, pageRef{pn, &block[0]})
+			m.cache[pn%uint32(len(m.cache))] = m.pages[i]
+			block = block[1:]
+		}
+	}
 }
 
-// growLen returns the new length of a region of length cur that must
-// reach need bytes without exceeding max, and false when need > max.
-func growLen(cur, need, max uint32) (uint32, bool) {
-	if need > max {
-		return 0, false
+// read copies the bytes at addr into dst; the caller has bounds-checked
+// the span.
+func (m *Memory) read(dst []byte, addr uint32) {
+	for len(dst) > 0 {
+		n := copy(dst, m.lookup(addr >> PageShift)[addr&(PageSize-1):])
+		dst, addr = dst[n:], addr+uint32(n)
 	}
-	l := (uint64(need) + PageSize - 1) &^ (PageSize - 1)
-	if d := 2 * uint64(cur); d > l {
-		l = d
-	}
-	if l > uint64(max) {
-		l = uint64(max)
-	}
-	return uint32(l), true
 }
 
-// Regions returns the lengths of the low and high regions: how many
-// bytes the memory backs at each end of the address space.
-func (m *Memory) Regions() (low, high uint32) {
-	return uint32(len(m.low)), uint32(len(m.high))
-}
-
-// ResetRegions drops every byte and backs the memory afresh with zeroed
-// regions of exactly low and high bytes. Checkpoint restore uses it to
-// give the restored process the captured process's footprint before
-// writing the captured bytes back. It fails if the regions would
-// overlap.
-func (m *Memory) ResetRegions(low, high uint32) error {
-	if uint64(low)+uint64(high) > uint64(m.size) {
-		return fmt.Errorf("vm: regions of %d and %d bytes overflow a %d-byte space", low, high, m.size)
+// write copies b to addr, allocating the pages it lands on; the caller
+// has bounds-checked the span.
+func (m *Memory) write(addr uint32, b []byte) {
+	for len(b) > 0 {
+		n := copy(m.writable(addr>>PageShift, (addr+uint32(len(b))-1)>>PageShift)[addr&(PageSize-1):], b)
+		b, addr = b[n:], addr+uint32(n)
 	}
-	m.low, m.high = make([]byte, low), make([]byte, high)
-	return nil
 }
 
-// zeroPage is the all-zero page NonzeroRuns compares against.
-var zeroPage [PageSize]byte
+// view returns the span [addr, addr+n) under the view contract: a
+// capacity-clipped slice of its page, or a copy if it crosses pages.
+func (m *Memory) view(addr, n uint32) []byte {
+	if off := addr & (PageSize - 1); off+n <= PageSize {
+		return m.lookup(addr >> PageShift)[off : off+n : off+n]
+	}
+	b := make([]byte, n)
+	m.read(b, addr)
+	return b
+}
 
-// NonzeroRuns calls fn, in address order, with every run of backed bytes
-// of [start, end) whose pages hold a nonzero byte. Pages are aligned to
-// PageSize in the address space; consecutive nonzero pages of one region
-// form one run, clipped to [start, end). The gap between the regions
-// reads as zero and is skipped, and nothing grows. Each b is a view of
-// memory under the Memory contract.
+// Zero sets [addr, addr+n) to zero: the allocated pages it covers whole
+// are freed, and the bytes it covers of any other allocated page are
+// cleared. It checks nothing and bumps no store generation; the caller
+// decides whether the application sees the change.
+func (m *Memory) Zero(addr, n uint32) {
+	for a, end := uint64(addr), uint64(addr)+uint64(n); a < end; {
+		off := uint32(a & (PageSize - 1))
+		c := min(end-a, uint64(PageSize-off))
+		if i, ok := m.index(uint32(a >> PageShift)); ok && c == PageSize {
+			m.pages = slices.Delete(m.pages, i, i+1)
+		} else if ok {
+			clear(m.pages[i].p[off : off+uint32(c)])
+		}
+		a += c
+	}
+	m.cache = noCache
+}
+
+// Footprint returns the heap bytes the memory holds: its allocated pages,
+// and its bookkeeping — the Memory itself, its page index and its
+// protection map.
+func (m *Memory) Footprint() (pages, bookkeeping int) {
+	return len(m.pages) * PageSize, int(unsafe.Sizeof(*m)) + cap(m.pages)*int(unsafe.Sizeof(pageRef{})) +
+		cap(m.segs)*int(unsafe.Sizeof(Segment{})) + cap(m.gens)*8
+}
+
+// NonzeroRuns calls fn, in address order, with the bytes of every
+// allocated page that holds a nonzero byte, clipped to [start, end).
+// Unallocated pages read as zero and are skipped, and nothing is
+// allocated. Each b is a view of one page under the Memory contract, so
+// the pages of a run of consecutive nonzero pages come as consecutive
+// calls.
 func (m *Memory) NonzeroRuns(start, end uint32, fn func(addr uint32, b []byte)) {
 	start, end = max(start, m.base), min(end, m.Limit())
 	if start >= end {
 		return
 	}
-	lo, hi := start-m.base, end-m.base
-	m.regionRuns(m.low, 0, lo, hi, fn)
-	m.regionRuns(m.high, m.size-uint32(len(m.high)), lo, hi, fn)
-}
-
-// regionRuns is NonzeroRuns over the offsets from base in [lo, hi) that
-// region r, which starts at offset at, backs.
-func (m *Memory) regionRuns(r []byte, at, lo, hi uint32, fn func(addr uint32, b []byte)) {
-	lo, hi = max(lo, at), min(hi, at+uint32(len(r)))
-	run := lo // start of the pending run
-	for off := lo; off < hi; {
-		pageEnd := (uint64(m.base+off) | (PageSize - 1)) + 1
-		next := uint32(min(pageEnd-uint64(m.base), uint64(hi)))
-		if bytes.Equal(r[off-at:next-at], zeroPage[:next-off]) {
-			if run < off {
-				fn(m.base+run, r[run-at:off-at])
-			}
-			run = next
+	i, _ := m.index(start >> PageShift)
+	for ; i < len(m.pages) && m.pages[i].pn <= (end-1)>>PageShift; i++ {
+		first := uint64(m.pages[i].pn) << PageShift
+		lo, hi := max(uint64(start), first), min(uint64(end), first+PageSize)
+		if b := m.pages[i].p[lo-first : hi-first]; !bytes.Equal(b, zeroPage[:len(b)]) {
+			fn(uint32(lo), b)
 		}
-		off = next
-	}
-	if run < hi {
-		fn(m.base+run, r[run-at:hi-at])
 	}
 }
 
@@ -429,25 +469,30 @@ func (m *Memory) load32(addr uint32) (uint32, bool) {
 	if !m.inBounds(addr, 4) {
 		return 0, false
 	}
-	b := m.span(addr-m.base, 4)
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, true
+	if off := addr & (PageSize - 1); off <= PageSize-4 {
+		return binary.LittleEndian.Uint32(m.lookup(addr >> PageShift)[off:]), true
+	}
+	var b [4]byte
+	m.read(b[:], addr)
+	return binary.LittleEndian.Uint32(b[:]), true
 }
 
 func (m *Memory) store32(addr, v uint32) bool {
 	if !m.inBounds(addr, 4) {
 		return false
 	}
-	b := m.span(addr-m.base, 4)
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
+	if off := addr & (PageSize - 1); off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.writable(addr>>PageShift, addr>>PageShift)[off:], v)
+		return true
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	m.write(addr, b[:])
 	return true
 }
 
 // KernelRead returns a view of n bytes at addr with kernel privilege
-// (bounds check only). The view aliases VM memory under the contract in
-// the Memory doc: read-only, valid until the next access.
+// (bounds check only), under the view contract in the Memory doc.
 func (m *Memory) KernelRead(addr, n uint32) ([]byte, error) {
 	if !m.inBounds(addr, n) {
 		return nil, &Fault{Addr: addr, Msg: fmt.Sprintf("kernel read of %d bytes out of bounds", n)}
@@ -455,7 +500,27 @@ func (m *Memory) KernelRead(addr, n uint32) ([]byte, error) {
 	if err := m.pageCheck(addr, n, 0); err != nil {
 		return nil, err
 	}
-	return m.span(addr-m.base, n), nil
+	return m.view(addr, n), nil
+}
+
+// KernelPieces appends to dst the span of n bytes at addr, with kernel
+// privilege, as one view per page it touches: their concatenation is the
+// span, and each follows the view contract. Callers that copy the span
+// on (into a file, a socket, a console) use it to copy once.
+func (m *Memory) KernelPieces(dst [][]byte, addr, n uint32) ([][]byte, error) {
+	if !m.inBounds(addr, n) {
+		return dst, &Fault{Addr: addr, Msg: fmt.Sprintf("kernel read of %d bytes out of bounds", n)}
+	}
+	if err := m.pageCheck(addr, n, 0); err != nil {
+		return dst, err
+	}
+	for n > 0 {
+		off := addr & (PageSize - 1)
+		c := min(n, PageSize-off)
+		dst = append(dst, m.lookup(addr >> PageShift)[off:off+c:off+c])
+		addr, n = addr+c, n-c
+	}
+	return dst, nil
 }
 
 // KernelWrite copies b into memory at addr with kernel privilege. An
@@ -473,7 +538,7 @@ func (m *Memory) KernelWrite(addr uint32, b []byte) error {
 			b = b[:n]
 		}
 	}
-	copy(m.span(addr-m.base, uint32(len(b))), b)
+	m.write(addr, b)
 	return nil
 }
 
@@ -501,21 +566,12 @@ func (m *Memory) KernelLoad32(addr uint32) (uint32, error) {
 	return v, nil
 }
 
-// KernelStore32 writes a 32-bit word with kernel privilege. Like
-// KernelWrite it is subject to an installed WriteFaulter.
+// KernelStore32 writes a 32-bit word with kernel privilege: a four-byte
+// KernelWrite, subject like it to an installed WriteFaulter.
 func (m *Memory) KernelStore32(addr, v uint32) error {
-	if m.wfault != nil {
-		var b [4]byte
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		return m.KernelWrite(addr, b[:])
-	}
-	if err := m.pageCheck(addr, 4, 0); err != nil {
-		return err
-	}
-	if !m.store32(addr, v) {
-		return &Fault{Addr: addr, Msg: "kernel store out of bounds"}
-	}
-	return nil
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	return m.KernelWrite(addr, b[:])
 }
 
 // CString reads a NUL-terminated string at addr with kernel privilege,
@@ -524,24 +580,18 @@ func (m *Memory) CString(addr, max uint32) (string, error) {
 	if !m.inBounds(addr, 1) {
 		return "", &Fault{Addr: addr, Msg: "string read out of bounds"}
 	}
-	off := addr - m.base
-	limit := m.size - off
-	if limit > max {
-		limit = max
-	}
+	limit := min(m.Limit()-addr, max)
 	// Scan page by page: in paged mode each page is faulted in lazily, so
 	// the string's length, not max, decides how many pages the lookup
 	// touches.
 	for i := uint32(0); i < limit; {
-		n := PageSize - (addr+i)&(PageSize-1)
-		if n > limit-i {
-			n = limit - i
-		}
-		if err := m.pageCheck(addr+i, 1, 0); err != nil {
+		n := min(PageSize-(addr+i)&(PageSize-1), limit-i)
+		b, err := m.KernelRead(addr+i, n) // one page: a view, not a copy
+		if err != nil {
 			return "", err
 		}
-		if j := bytes.IndexByte(m.span(off+i, n), 0); j >= 0 {
-			return string(m.span(off, i+uint32(j))), nil
+		if j := bytes.IndexByte(b, 0); j >= 0 {
+			return string(m.view(addr, i+uint32(j))), nil
 		}
 		i += n
 	}
@@ -636,11 +686,10 @@ func (c *CPU) load(addr uint32, size uint32) (uint32, error) {
 		return 0, err
 	}
 	if size == 1 {
-		b, err := c.Mem.KernelRead(addr, 1)
-		if err != nil {
-			return 0, err
+		if !c.Mem.inBounds(addr, 1) {
+			return 0, &Fault{PC: c.PC, Addr: addr, Msg: "read out of bounds"}
 		}
-		return uint32(b[0]), nil
+		return uint32(c.Mem.lookup(addr >> PageShift)[addr&(PageSize-1)]), nil
 	}
 	v, ok := c.Mem.load32(addr)
 	if !ok {
@@ -663,7 +712,7 @@ func (c *CPU) store(addr, v uint32, size uint32) error {
 		if !c.Mem.inBounds(addr, 1) {
 			return &Fault{PC: c.PC, Addr: addr, Msg: "write out of bounds"}
 		}
-		c.Mem.span(addr-c.Mem.base, 1)[0] = byte(v)
+		c.Mem.writable(addr>>PageShift, addr>>PageShift)[addr&(PageSize-1)] = byte(v)
 		return nil
 	}
 	if !c.Mem.store32(addr, v) {
