@@ -29,26 +29,26 @@ var batchModes = []struct {
 
 // BatchPoint is one burst size's per-call cost under one cache mode.
 type BatchPoint struct {
-	Burst         int
-	CyclesPerCall float64
+	Burst         int     `json:"burst"`
+	CyclesPerCall float64 `json:"cycles_per_call"`
 }
 
 // BatchRow is one cache mode's burst sweep.
 type BatchRow struct {
-	Mode   string
-	Points []BatchPoint
+	Mode string `json:"cache_mode"`
 	// Hits/Misses/Shares are the fleet-wide cache counters of the
 	// longest run at the largest burst (identical across bursts:
 	// batching changes the control-flow checker, not the cache).
-	Hits   uint64
-	Misses uint64
-	Shares uint64
+	Hits   uint64       `json:"hits"`
+	Misses uint64       `json:"misses"`
+	Shares uint64       `json:"shares"`
+	Points []BatchPoint `json:"points"`
 }
 
 // BatchData is the full burst × cache-mode sweep.
 type BatchData struct {
-	Procs int
-	Rows  []BatchRow
+	Procs int        `json:"procs"`
+	Rows  []BatchRow `json:"rows"`
 }
 
 // batchLoopSrc is a pure getpid loop: no file I/O, so the fleet needs

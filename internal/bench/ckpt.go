@@ -43,30 +43,30 @@ msg:    .asciz "done"
 // CkptPoint is one cadence's recovery measurement.
 type CkptPoint struct {
 	// Divisor n selects the cadence: a checkpoint every budget/n cycles.
-	Divisor     int
-	EveryCycles uint64
+	Divisor     int    `json:"divisor"`
+	EveryCycles uint64 `json:"every_cycles"`
 	// Checkpoints sealed across the whole supervised run.
-	Checkpoints int
+	Checkpoints int `json:"checkpoints"`
 	// WarmRestarts resumed from a verified checkpoint; ColdStarts fell
 	// through to a fresh spawn (always 0 here — the chain is untampered).
-	WarmRestarts int
-	ColdStarts   int
-	Attempts     int
+	WarmRestarts int `json:"warm_restarts"`
+	ColdStarts   int `json:"cold_starts"`
+	Attempts     int `json:"attempts"`
 	// ReplayCycles re-executed work between the restore point and the
 	// failure; ReplayPct expresses it against the clean run.
-	ReplayCycles uint64
-	ReplayPct    float64
-	Recovered    bool
+	ReplayCycles uint64  `json:"replay_cycles"`
+	ReplayPct    float64 `json:"replay_pct"`
+	Recovered    bool    `json:"recovered"`
 }
 
 // CkptData is the full crash-recovery sweep.
 type CkptData struct {
-	Iters int
+	Iters int `json:"iters"`
 	// CleanCycles is the uninterrupted run's cost; BudgetCycles is the
 	// per-attempt cap (4/5 of clean, so every first attempt overruns).
-	CleanCycles  uint64
-	BudgetCycles uint64
-	Points       []CkptPoint
+	CleanCycles  uint64      `json:"clean_cycles"`
+	BudgetCycles uint64      `json:"budget_cycles"`
+	Points       []CkptPoint `json:"points"`
 }
 
 // Ckpt runs the crash-recovery sweep: for each cadence divisor the loop

@@ -48,27 +48,27 @@ msg:    .asciz "done"
 
 // ClusterPoint is one (width, cadence) cell's failover measurement.
 type ClusterPoint struct {
-	Nodes          int
-	HeartbeatEvery int // ticks between heartbeat rounds
-	Procs          int // fleet size (two per node)
-	Ticks          int // virtual clock at fleet completion
+	Nodes          int `json:"nodes"`
+	HeartbeatEvery int `json:"heartbeat_every"` // ticks between heartbeat rounds
+	Procs          int `json:"procs"`           // fleet size (two per node)
+	Ticks          int `json:"ticks"`           // virtual clock at fleet completion
 	// DetectTicks is crash → node declared failed; FailoverTicks is
 	// crash → the last displaced process re-placed on a survivor.
-	DetectTicks   int
-	FailoverTicks int
-	Failovers     int
-	WarmRestarts  int
-	ColdStarts    int
-	Checkpoints   int
+	DetectTicks   int `json:"detect_ticks"`
+	FailoverTicks int `json:"failover_ticks"`
+	Failovers     int `json:"failovers"`
+	WarmRestarts  int `json:"warm_restarts"`
+	ColdStarts    int `json:"cold_starts"`
+	Checkpoints   int `json:"checkpoints"`
 	// ReplayCycles is work re-executed between each restore point and
 	// the crash; RestoredCycles is work the checkpoints preserved.
 	// RecoveredPct = restored / (restored + replayed): the fraction of
 	// in-flight work the sealed checkpoints saved.
-	ReplayCycles   uint64
-	RestoredCycles uint64
-	RecoveredPct   float64
-	Beats          int
-	MissedBeats    int
+	ReplayCycles   uint64  `json:"replay_cycles"`
+	RestoredCycles uint64  `json:"restored_cycles"`
+	RecoveredPct   float64 `json:"recovered_pct"`
+	Beats          int     `json:"beats"`
+	MissedBeats    int     `json:"missed_beats"`
 }
 
 // TakeoverPoint is one heartbeat-cadence cell of the director-takeover
@@ -76,31 +76,31 @@ type ClusterPoint struct {
 // durable, source fenced, zero bytes moved) and a warm standby must
 // notice, replay the sealed WAL, and resume the fleet.
 type TakeoverPoint struct {
-	HeartbeatEvery int
-	Procs          int
-	CrashTick      int // virtual time the director dies
-	TakeoverTick   int // virtual time the standby takes over
-	DetectTicks    int // takeover latency (missed-beat detection)
-	Ticks          int // virtual clock at fleet completion
+	HeartbeatEvery int `json:"heartbeat_every"`
+	Procs          int `json:"procs"`
+	CrashTick      int `json:"crash_tick"`    // virtual time the director dies
+	TakeoverTick   int `json:"takeover_tick"` // virtual time the standby takes over
+	DetectTicks    int `json:"detect_ticks"`  // takeover latency (missed-beat detection)
+	Ticks          int `json:"ticks"`         // virtual clock at fleet completion
 	// Reattached processes resume live on their surviving nodes;
 	// Restored is the mid-migration process finished warm from the
 	// persistent store.
-	Reattached   int
-	Restored     int
-	WarmRestarts int
-	ColdStarts   int
-	WALRecords   int    // sealed records the takeover replayed
-	Term         uint32 // director generation after recovery (2 = one takeover)
+	Reattached   int    `json:"reattached"`
+	Restored     int    `json:"restored"`
+	WarmRestarts int    `json:"warm_restarts"`
+	ColdStarts   int    `json:"cold_starts"`
+	WALRecords   int    `json:"wal_records"` // sealed records the takeover replayed
+	Term         uint32 `json:"term"`        // director generation after recovery (2 = one takeover)
 }
 
 // ClusterData is the full failover sweep.
 type ClusterData struct {
-	Iters       int
-	CleanCycles uint64 // one process's uninterrupted cost
-	SliceCycles uint64 // per-tick slice (clean/10)
-	CrashTick   int    // virtual time node 1 dies in every cell
-	Points      []ClusterPoint
-	Takeover    []TakeoverPoint
+	Iters       int             `json:"iters"`
+	CleanCycles uint64          `json:"clean_cycles"` // one process's uninterrupted cost
+	SliceCycles uint64          `json:"slice_cycles"` // per-tick slice (clean/10)
+	CrashTick   int             `json:"crash_tick"`   // virtual time node 1 dies in every cell
+	Points      []ClusterPoint  `json:"points"`
+	Takeover    []TakeoverPoint `json:"takeover,omitempty"`
 }
 
 // Cluster runs the failover sweep: for each (width, cadence) cell a
@@ -233,47 +233,6 @@ func takeoverCell(key []byte, exe *binfmt.File, ref *core.Result, data *ClusterD
 		return p, fmt.Errorf("takeover accounted for %d of %d processes", p.Reattached+p.Restored, procs)
 	}
 	return p, nil
-}
-
-// TakeoverGuard runs the reduced heartbeat-1 takeover cell and returns
-// its recovery split — the make-check gate asserting a director crash
-// with a standby never cold-starts a process.
-func TakeoverGuard(key []byte) (reattached, restored, cold int, err error) {
-	data, err := takeoverGuardData(key)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	p := data.Takeover[0]
-	return p.Reattached, p.Restored, p.ColdStarts, nil
-}
-
-// takeoverGuardData measures the guard's single cell.
-func takeoverGuardData(key []byte) (*ClusterData, error) {
-	iters := 400
-	v := workload.FaultVictim{Name: "cluster-loop", Source: fmt.Sprintf(clusterBenchSource, iters)}
-	exe, err := v.Build(key)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(core.Config{Key: key})
-	if err != nil {
-		return nil, err
-	}
-	ref, err := sys.Exec(exe, "cluster-loop", "")
-	if err != nil {
-		return nil, err
-	}
-	slice := ref.Cycles / 10
-	if slice < 256 {
-		slice = 256
-	}
-	data := &ClusterData{Iters: iters, CleanCycles: ref.Cycles, SliceCycles: slice, CrashTick: 3}
-	p, err := takeoverCell(key, exe, ref, data, 1)
-	if err != nil {
-		return nil, err
-	}
-	data.Takeover = append(data.Takeover, p)
-	return data, nil
 }
 
 // clusterCell runs one (width, cadence) cell: crash node 1 at the fixed

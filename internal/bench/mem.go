@@ -69,27 +69,27 @@ main:
 // MemPoint is one (budget, working set) cell of the sweep.
 type MemPoint struct {
 	// BudgetPages is the resident-page budget; WSPages the working set.
-	BudgetPages int
-	WSPages     int
-	// CyclesOff/On/Cached are the run costs with authentication off,
-	// enforced, and enforced with the verify cache + group commit.
-	CyclesOff    uint64
-	CyclesOn     uint64
-	CyclesCached uint64
-	// OverheadPct and CachedOverheadPct express On and Cached against Off.
-	OverheadPct       float64
-	CachedOverheadPct float64
+	BudgetPages int `json:"budget_pages"`
+	WSPages     int `json:"ws_pages"`
 	// Paging counters from the enforced arm (identical across arms: the
 	// access pattern, not the MAC work, drives the pager).
-	Faults  uint64
-	Evicts  uint64
-	Swapins uint64
+	Faults  uint64 `json:"faults"`
+	Evicts  uint64 `json:"evicts"`
+	Swapins uint64 `json:"swapins"`
+	// CyclesOff/On/Cached are the run costs with authentication off,
+	// enforced, and enforced with the verify cache + group commit.
+	CyclesOff    uint64 `json:"cycles_off"`
+	CyclesOn     uint64 `json:"cycles_enforced"`
+	CyclesCached uint64 `json:"cycles_cached"`
+	// OverheadPct and CachedOverheadPct express On and Cached against Off.
+	OverheadPct       float64 `json:"overhead_pct"`
+	CachedOverheadPct float64 `json:"cached_overhead_pct"`
 }
 
 // MemData is the full working-set sweep.
 type MemData struct {
-	Sweeps int
-	Points []MemPoint
+	Sweeps int        `json:"sweeps"`
+	Points []MemPoint `json:"points"`
 }
 
 // Mem runs the paged-memory sweep. Every arm runs on a paged kernel —

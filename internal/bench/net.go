@@ -24,42 +24,42 @@ var NetWorkers = []int{1, 2, 4, 8}
 // NetPoint is one (clients, workers) measurement of the enforced,
 // cache-enabled fleet.
 type NetPoint struct {
-	Workers int
+	Workers int `json:"workers"`
 	// MakespanCycles is the modeled fleet completion time
 	// (sched.Makespan over the deterministic per-process counts).
-	MakespanCycles uint64
-	Speedup        float64
-	EfficiencyPct  float64
+	MakespanCycles uint64  `json:"makespan_cycles"`
+	Speedup        float64 `json:"speedup"`
+	EfficiencyPct  float64 `json:"efficiency_pct"`
 	// VerifiedPerMCycle is fleet-wide verified calls per million
 	// makespan cycles.
-	VerifiedPerMCycle float64
+	VerifiedPerMCycle float64 `json:"verified_per_mcycle"`
 }
 
 // NetRow is one client count's sweep.
 type NetRow struct {
-	Clients  int
-	Requests uint64 // requests served fleet-wide
-	Bytes    uint64 // request payload bytes moved client→server
+	Clients  int    `json:"clients"`
+	Requests uint64 `json:"requests"` // requests served fleet-wide
+	Bytes    uint64 `json:"bytes"`    // request payload bytes moved client→server
 	// Fleet cycle totals (sum of per-process counts) under the three
 	// enforcement configurations: plain binaries on a permissive
 	// kernel, authenticated binaries enforced, and enforced with the
 	// verification cache.
-	CyclesOff         uint64
-	CyclesOn          uint64
-	CyclesCached      uint64
-	OverheadPct       float64 // on vs off
-	CachedOverheadPct float64 // cached vs off
-	Verified          uint64  // verified calls fleet-wide (enforced)
-	Points            []NetPoint
+	CyclesOff         uint64     `json:"cycles_off"`
+	CyclesOn          uint64     `json:"cycles_enforced"`
+	CyclesCached      uint64     `json:"cycles_cached"`
+	OverheadPct       float64    `json:"overhead_pct"`        // on vs off
+	CachedOverheadPct float64    `json:"cached_overhead_pct"` // cached vs off
+	Verified          uint64     `json:"verified_calls"`      // verified calls fleet-wide (enforced)
+	Points            []NetPoint `json:"points"`
 }
 
 // NetData is the full network sweep.
 type NetData struct {
-	Iters int
-	Rows  []NetRow
+	Iters int      `json:"iters"`
+	Rows  []NetRow `json:"rows"`
 	// Shard is the sharded-fleet arm: replicas × clients × workers,
 	// plus the 10k-client scale cell as the final row.
-	Shard []ShardRow
+	Shard []ShardRow `json:"shard"`
 }
 
 // ShardReplicas is the replica-count sweep of the sharded arm.
@@ -79,13 +79,13 @@ const Shard10kClients = 10000
 // N poll-event-loop KV replicas, each owning a consistent-hash slice of
 // the key space, driven by LB clients routing by MAC-pinned immediates.
 type ShardRow struct {
-	Replicas     int
-	Clients      int
-	Iters        int
-	Requests     uint64 // requests served fleet-wide
-	CyclesCached uint64 // fleet cycle total, enforced + verify cache
-	Verified     uint64 // verified calls fleet-wide
-	Points       []NetPoint
+	Replicas     int        `json:"replicas"`
+	Clients      int        `json:"clients"`
+	Iters        int        `json:"iters"`
+	Requests     uint64     `json:"requests"`       // requests served fleet-wide
+	CyclesCached uint64     `json:"cycles_cached"`  // fleet cycle total, enforced + verify cache
+	Verified     uint64     `json:"verified_calls"` // verified calls fleet-wide
+	Points       []NetPoint `json:"points"`
 }
 
 // netMode selects the enforcement configuration of one fleet run.
@@ -315,25 +315,6 @@ func shardSweep(key []byte) ([]ShardRow, error) {
 	}
 	rows = append(rows, row)
 	return rows, nil
-}
-
-// ShardGuard runs the reduced 4-replica/8-client cell and returns its
-// 4-worker speedup and efficiency — the perf regression gate wired
-// into scripts/check.sh (the event loop must keep the replicas busy,
-// not serialized behind a shared wait).
-func ShardGuard(key []byte) (speedup, effPct float64, err error) {
-	reqs, routes, err := buildShardReqs(key, 4, 8, ShardIters)
-	if err != nil {
-		return 0, 0, err
-	}
-	cyc, _, err := runShardFleet(reqs, key, routes, 4, 8, ShardIters, 4)
-	if err != nil {
-		return 0, 0, err
-	}
-	serial := sched.Makespan(cyc, 1)
-	mk := sched.Makespan(cyc, 4)
-	speedup = float64(serial) / float64(mk)
-	return speedup, 100 * speedup / 4, nil
 }
 
 // Net runs the client-count × worker-count × enforcement sweep. All

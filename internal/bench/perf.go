@@ -17,27 +17,28 @@ import (
 
 // Table4Row is one system call's per-call cost.
 type Table4Row struct {
-	Call        string
-	OrigCycles  float64
-	AuthCycles  float64
-	OverheadPct float64
+	Call        string  `json:"call"`
+	OrigCycles  float64 `json:"plain_cycles"`
+	AuthCycles  float64 `json:"verified_cycles"`
+	OverheadPct float64 `json:"-"`
 	// CachedCycles and CachedOverheadPct measure the same authenticated
 	// call with the per-site verification cache enabled; the loop body
 	// traps from a single site, so after the first call every
 	// verification is a hit.
-	CachedCycles      float64
-	CachedOverheadPct float64
-	PaperOrig         float64
-	PaperAuth         float64
-	PaperOverhead     float64
+	CachedCycles      float64 `json:"cached_cycles"`
+	CachedOverheadPct float64 `json:"-"`
+	PaperOrig         float64 `json:"-"`
+	PaperAuth         float64 `json:"-"`
+	PaperOverhead     float64 `json:"-"`
 }
 
-// Table4Data is the microbenchmark table.
+// Table4Data is the microbenchmark table; its JSON form is
+// BENCH_kernel.json.
 type Table4Data struct {
-	Rows []Table4Row
 	// LoopCost is the measured per-iteration loop overhead that was
 	// subtracted (the paper's "loop cost" row).
-	LoopCost float64
+	LoopCost float64     `json:"loop_cost_cycles"`
+	Rows     []Table4Row `json:"rows"`
 }
 
 // microSource builds a loop executing one call n times. The pread/pwrite

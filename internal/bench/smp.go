@@ -15,34 +15,34 @@ var SMPWorkers = []int{1, 2, 4, 8}
 
 // SMPPoint is one (workload, worker-count) measurement.
 type SMPPoint struct {
-	Workers int
+	Workers int `json:"workers"`
 	// MakespanCycles is the modeled fleet completion time: per-process
 	// cycle counts assigned round-robin to lanes, busiest lane's total
 	// (sched.Makespan). Per-process counts are deterministic, so this
 	// figure is byte-stable run to run — unlike wall clock.
-	MakespanCycles uint64
+	MakespanCycles uint64 `json:"makespan_cycles"`
 	// Speedup is serial makespan over this makespan.
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 	// EfficiencyPct is Speedup/Workers × 100.
-	EfficiencyPct float64
+	EfficiencyPct float64 `json:"efficiency_pct"`
 	// VerifiedPerMCycle is fleet-wide verified calls per million
 	// makespan cycles — the verified-throughput figure.
-	VerifiedPerMCycle float64
+	VerifiedPerMCycle float64 `json:"verified_per_mcycle"`
 }
 
 // SMPRow is one workload's scaling sweep.
 type SMPRow struct {
-	Call          string
-	CyclesPerProc uint64 // deterministic per-process cycle count
-	CallsPerProc  uint64 // verified calls per process
-	Points        []SMPPoint
+	Call          string     `json:"call"`
+	CyclesPerProc uint64     `json:"cycles_per_proc"` // deterministic per-process cycle count
+	CallsPerProc  uint64     `json:"calls_per_proc"`  // verified calls per process
+	Points        []SMPPoint `json:"points"`
 }
 
 // SMPData is the full SMP scaling table.
 type SMPData struct {
-	Procs int
-	Iters int
-	Rows  []SMPRow
+	Procs int      `json:"procs"`
+	Iters int      `json:"iters"`
+	Rows  []SMPRow `json:"rows"`
 }
 
 // SMP runs each Table-4 micro workload as a fleet of procs identical

@@ -114,9 +114,6 @@ func (p *Program) FuncNamed(name string) *Func {
 	return nil
 }
 
-// BlockAt returns the block starting at addr.
-func (p *Program) BlockAt(addr uint32) *Block { return p.blockByAddr[addr] }
-
 // BlockContaining returns the block whose address range covers addr.
 func (p *Program) BlockContaining(addr uint32) *Block {
 	for _, b := range p.Blocks {

@@ -136,7 +136,7 @@ type State struct {
 	// demand-paged kernel; the remaining fields describe its mmap-arena
 	// page table and the swap residue of evicted pages. The arena's
 	// *resident* contents travel as runs of the ordinary segment capture
-	// (evicted pages are zero-scrubbed, so they yield none); SwapPages
+	// (eviction frees a page, so an evicted page yields none); SwapPages
 	// carries the evicted pages' plaintext (verified against their sealed
 	// frames at capture time) so a restore can re-seal them under the
 	// restored process's identity.

@@ -197,11 +197,6 @@ func (nd *Node) Crash() {
 	nd.owned = make(map[string]*kernel.Process)
 }
 
-// Alive reports whether the node has not crashed. It is a modeling
-// accessor for tests and benchmarks; the Director's failure detection
-// uses heartbeats over the fabric, never this method.
-func (nd *Node) Alive() bool { return !nd.crashed }
-
 // DelayHeartbeats makes the node drop (not answer) the next n
 // heartbeat pings while staying otherwise healthy — a slow or
 // partitioned node that has not failed.

@@ -141,9 +141,6 @@ func NewHA(cfg HAConfig) (*HA, error) {
 // their processes keep their state; only the coordinator dies.
 func (h *HA) CrashPrimary() { h.Primary.selfCrashed = true }
 
-// Crashed reports whether the active director is dead right now.
-func (h *HA) Crashed() bool { return h.crashed || h.Primary.selfCrashed }
-
 // Run drives the fleet like Director.Run, surviving director crashes
 // when a standby is attached.
 func (h *HA) Run(reqs []core.RunRequest) (*HAReport, error) {

@@ -280,9 +280,6 @@ func WithMode(m Mode) Option { return func(k *Kernel) { k.Mode = m } }
 // WithPersonality sets the OS personality.
 func WithPersonality(p Personality) Option { return func(k *Kernel) { k.Personality = p } }
 
-// WithCosts overrides the cycle model.
-func WithCosts(c CostModel) Option { return func(k *Kernel) { k.Costs = c } }
-
 // WithRequireAuthenticated enables full-system enforcement: only
 // installer-transformed binaries may make system calls.
 func WithRequireAuthenticated() Option {

@@ -563,8 +563,8 @@ func (k *Kernel) sysSelect(p *Process, nfds, rAddr, wAddr, eAddr, tAddr uint32) 
 			return errno(sys.EFAULT)
 		}
 	}
-	if eAddr != 0 {
-		k.writeZeros(p, eAddr, words*4)
+	if r := k.writeZeros(p, eAddr, words*4); r != 0 {
+		return r
 	}
 	return ready
 }

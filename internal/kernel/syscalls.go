@@ -218,10 +218,7 @@ func (k *Kernel) dispatch(p *Process, num uint16, site uint32, args [sys.MaxArgs
 		}
 		return 0, false
 	case sys.SysSigprocmask:
-		if args[2] != 0 {
-			k.writeZeros(p, args[2], 4)
-		}
-		return 0, false
+		return k.writeZeros(p, args[2], 4), false
 	case sys.SysAlarm, sys.SysPause:
 		return 0, false
 	case sys.SysUtime:
@@ -230,8 +227,7 @@ func (k *Kernel) dispatch(p *Process, num uint16, site uint32, args [sys.MaxArgs
 			return err
 		}), false
 	case sys.SysGetrlimit, sys.SysGetrusage, sys.SysTimes:
-		k.writeZeros(p, args[1], 16)
-		return 0, false
+		return k.writeZeros(p, args[1], 16), false
 	case sys.SysSetrlimit:
 		return 0, false
 	case sys.SysGethostname:
@@ -266,11 +262,13 @@ func (k *Kernel) dispatch(p *Process, num uint16, site uint32, args [sys.MaxArgs
 	}
 }
 
-func (k *Kernel) writeZeros(p *Process, addr, n uint32) {
-	if addr == 0 {
-		return
+// writeZeros zero-fills an optional user buffer (addr 0 skips it) and
+// returns 0, or EFAULT if the buffer is not writable.
+func (k *Kernel) writeZeros(p *Process, addr, n uint32) uint32 {
+	if addr != 0 && p.Mem.UserWrite(addr, make([]byte, n)) != nil {
+		return errno(sys.EFAULT)
 	}
-	_ = p.Mem.UserWrite(addr, make([]byte, n))
+	return 0
 }
 
 func (k *Kernel) pathCall1(p *Process, pathAddr uint32, f func(string) error) uint32 {
@@ -470,8 +468,7 @@ func (k *Kernel) sysFstat(p *Process, fd, buf uint32) uint32 {
 		return errno(sys.EBADF)
 	}
 	if e.kind != fdFile {
-		k.writeZeros(p, buf, 24)
-		return 0
+		return k.writeZeros(p, buf, 24)
 	}
 	if err := p.Mem.UserWrite(buf, statBuf(k.FS.InfoOf(e.node))); err != nil {
 		return errno(sys.EFAULT)

@@ -537,3 +537,44 @@ func TestHandlerIndirectOpenBSDRecursionGuard(t *testing.T) {
 		t.Errorf("indirect getpid = %d", r)
 	}
 }
+
+// TestSyscallIntoReadOnlySegmentFaults: like copy_to_user, a syscall
+// result aimed at read-only .text or .rodata returns EFAULT and stores
+// nothing, so the process still runs exactly as an untouched one.
+func TestSyscallIntoReadOnlySegmentFaults(t *testing.T) {
+	exe := buildExe(t, ckptLoopSrc)
+	want := runProc(t, newKernel(t, WithMode(Permissive)), exe, "")
+	k := newKernel(t, WithMode(Permissive))
+	p, err := k.Spawn(exe, "ro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, seg := range p.Mem.Segments() {
+		if seg.Name != ".text" && seg.Name != ".rodata" {
+			continue
+		}
+		checked++
+		before, err := p.Mem.KernelRead(seg.Start, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append([]byte(nil), before...)
+		if r := call(k, p, sys.SysGetcwd, seg.Start, 64); int32(r) != -sys.EFAULT {
+			t.Errorf("getcwd into %s = %d, want -EFAULT", seg.Name, int32(r))
+		}
+		if after, _ := p.Mem.KernelRead(seg.Start, 8); string(after) != string(before) {
+			t.Errorf("getcwd into %s rewrote % x to % x", seg.Name, before, after)
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("found %d of the .text and .rodata segments", checked)
+	}
+	if err := k.Run(p, 100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if p.Output() != want.Output() || p.Code != want.Code || p.Killed {
+		t.Fatalf("run after the faulting calls: output %q code %d killed %v; want %q code %d",
+			p.Output(), p.Code, p.Killed, want.Output(), want.Code)
+	}
+}

@@ -229,9 +229,6 @@ type ChainState struct {
 	prefix []byte // the absorbed bytes, len a multiple of Size
 }
 
-// Consumed returns how many message bytes the state has absorbed.
-func (st *ChainState) Consumed() int { return len(st.prefix) }
-
 // Precompute absorbs every complete block of msg except the final block
 // and returns the chaining state. It also reports the AES block
 // operations performed (charged once, at install time). For messages of

@@ -205,29 +205,3 @@ func (p *Pattern) Verify(arg string, hint []int) (scanned int, err error) {
 	}
 	return scanned, nil
 }
-
-// EncodeHint serializes a hint as little-endian uint16s for transport in
-// an additional system call argument.
-func EncodeHint(hint []int) ([]byte, error) {
-	out := make([]byte, 2*len(hint))
-	for i, h := range hint {
-		if h < 0 || h > 0xffff {
-			return nil, fmt.Errorf("pattern: hint value %d out of range", h)
-		}
-		out[2*i] = byte(h)
-		out[2*i+1] = byte(h >> 8)
-	}
-	return out, nil
-}
-
-// DecodeHint parses a serialized hint.
-func DecodeHint(b []byte) ([]int, error) {
-	if len(b)%2 != 0 {
-		return nil, fmt.Errorf("pattern: hint length %d not even", len(b))
-	}
-	out := make([]int, len(b)/2)
-	for i := range out {
-		out[i] = int(b[2*i]) | int(b[2*i+1])<<8
-	}
-	return out, nil
-}

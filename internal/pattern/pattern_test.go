@@ -89,29 +89,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestHintRoundTrip(t *testing.T) {
-	h := []int{0, 3, 65535}
-	b, err := EncodeHint(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHint(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range h {
-		if got[i] != h[i] {
-			t.Errorf("round trip %v -> %v", h, got)
-		}
-	}
-	if _, err := EncodeHint([]int{70000}); err == nil {
-		t.Error("oversized hint encoded")
-	}
-	if _, err := DecodeHint([]byte{1}); err == nil {
-		t.Error("odd-length hint decoded")
-	}
-}
-
 // Property: whenever Match succeeds, Verify accepts its hint; the scan
 // cost is linear in the argument.
 func TestPropertyMatchVerifyAgree(t *testing.T) {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"testing"
 
 	"asc/internal/isa"
@@ -94,6 +95,33 @@ func TestKernelVsUserWriteGenerations(t *testing.T) {
 	gb, _ := m.SpanGeneration(0x2100, 8)
 	if ga != 1 || gb != g0+2 {
 		t.Fatalf("cross-segment UserWrite: got a=%d b=%d", ga, gb)
+	}
+}
+
+// TestUserWriteNeedsWritableSegments: a UserWrite may cross adjacent
+// writable segments, but faults — writing nothing and bumping no
+// generation — on any byte outside one, and it allocates nothing.
+func TestUserWriteNeedsWritableSegments(t *testing.T) {
+	m := genTestMemory()
+	for _, addr := range []uint32{0x2ffe, 0x3000} {
+		g0, _ := m.SpanGeneration(0x2100, 8)
+		if err := m.UserWrite(addr, []byte{1, 2, 3, 4}); err == nil {
+			t.Fatalf("UserWrite at %#x into the read-only segment succeeded", addr)
+		}
+		if b, _ := m.KernelRead(0x2ffe, 6); !bytes.Equal(b, make([]byte, 6)) {
+			t.Fatalf("faulting UserWrite at %#x stored %v", addr, b)
+		}
+		if g, _ := m.SpanGeneration(0x2100, 8); g != g0 {
+			t.Fatalf("faulting UserWrite at %#x bumped a generation", addr)
+		}
+	}
+	b := []byte{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := m.UserWrite(0x1ffe, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("UserWrite allocated %v times per call", n)
 	}
 }
 

@@ -7,8 +7,6 @@
 // with no page table pays two compares per access.
 package vm
 
-import "encoding/binary"
-
 // Page geometry. 4 KiB pages: one page MAC is 256 AES blocks.
 const (
 	PageShift = 12
@@ -92,89 +90,6 @@ func (t *PageTable) Index(addr uint32) (int, bool) {
 
 // PageAddr returns page i's first address.
 func (t *PageTable) PageAddr(i int) uint32 { return t.base + uint32(i)<<PageShift }
-
-// Page-table record encoding: the checkpointable form of the table plus
-// the kernel's per-page swap generation counters. The record is embedded
-// in the sealed checkpoint state, so the decoder must be safe on
-// arbitrary bytes (the seal is checked by the caller, the structure
-// here).
-const (
-	ptMagic   = "ASPT"
-	ptVersion = 1
-)
-
-// EncodePageTable serializes the table and the parallel per-page swap
-// generation counters.
-func EncodePageTable(t *PageTable, gens []uint64) []byte {
-	n := len(t.flags)
-	b := make([]byte, 0, 4+4+4+4+n+8*len(gens))
-	b = append(b, ptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, ptVersion)
-	b = binary.LittleEndian.AppendUint32(b, t.base)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	for _, f := range t.flags {
-		b = append(b, byte(f))
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(gens)))
-	for _, g := range gens {
-		b = binary.LittleEndian.AppendUint64(b, g)
-	}
-	return b
-}
-
-// DecodePageTable parses an encoded page-table record. Every length is
-// bounds-checked against the remaining bytes before allocation, so
-// arbitrary input fails cleanly instead of panicking (fuzzed).
-func DecodePageTable(b []byte) (*PageTable, []uint64, error) {
-	fail := func(msg string) (*PageTable, []uint64, error) {
-		return nil, nil, &Fault{Msg: "page table record: " + msg}
-	}
-	if len(b) < 16 {
-		return fail("truncated header")
-	}
-	if string(b[:4]) != ptMagic {
-		return fail("bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != ptVersion {
-		return fail("unknown version")
-	}
-	base := binary.LittleEndian.Uint32(b[8:])
-	if base&(PageSize-1) != 0 {
-		return fail("unaligned base")
-	}
-	n := int(binary.LittleEndian.Uint32(b[12:]))
-	rest := b[16:]
-	if n < 0 || n > len(rest) {
-		return fail("flag count exceeds payload")
-	}
-	if uint64(base)+uint64(n)<<PageShift > 1<<32 {
-		return fail("arena exceeds the address space")
-	}
-	t := &PageTable{base: base, flags: make([]PageFlags, n)}
-	for i := 0; i < n; i++ {
-		t.flags[i] = PageFlags(rest[i])
-	}
-	rest = rest[n:]
-	if len(rest) < 4 {
-		return fail("truncated generation count")
-	}
-	ng := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if ng < 0 || ng*8 > len(rest) {
-		return fail("generation count exceeds payload")
-	}
-	if ng != n {
-		return fail("generation count does not match page count")
-	}
-	gens := make([]uint64, ng)
-	for i := 0; i < ng; i++ {
-		gens[i] = binary.LittleEndian.Uint64(rest[i*8:])
-	}
-	if len(rest) != ng*8 {
-		return fail("trailing bytes")
-	}
-	return t, gens, nil
-}
 
 // SetPaging installs (or, with nil, removes) the page table and its
 // fault handler over the memory's mmap arena.

@@ -151,64 +151,3 @@ func TestRawAccessBypassesPaging(t *testing.T) {
 		t.Fatalf("raw access invoked the pager %d times", pg.faults)
 	}
 }
-
-func TestPageTableEncodeDecodeRoundTrip(t *testing.T) {
-	pt := NewPageTable(0x40000, 8)
-	pt.SetFlags(0, PageMapped|PageRead|PageWrite|PagePresent|PageDirty)
-	pt.SetFlags(7, PageMapped|PageRead)
-	gens := []uint64{3, 0, 0, 0, 0, 0, 0, 9}
-	blob := EncodePageTable(pt, gens)
-	got, gotGens, err := DecodePageTable(blob)
-	if err != nil {
-		t.Fatalf("DecodePageTable: %v", err)
-	}
-	if got.Base() != pt.Base() || got.NumPages() != pt.NumPages() {
-		t.Fatalf("decoded geometry %#x/%d, want %#x/%d", got.Base(), got.NumPages(), pt.Base(), pt.NumPages())
-	}
-	for i := 0; i < pt.NumPages(); i++ {
-		if got.Flags(i) != pt.Flags(i) {
-			t.Fatalf("page %d flags %08b, want %08b", i, got.Flags(i), pt.Flags(i))
-		}
-	}
-	for i, g := range gotGens {
-		if g != gens[i] {
-			t.Fatalf("gen %d = %d, want %d", i, g, gens[i])
-		}
-	}
-}
-
-func TestPageTableDecodeRejectsCorruption(t *testing.T) {
-	pt := NewPageTable(0x40000, 4)
-	blob := EncodePageTable(pt, make([]uint64, 4))
-	cases := map[string][]byte{
-		"empty":      nil,
-		"short":      blob[:8],
-		"bad magic":  append([]byte("XXXX"), blob[4:]...),
-		"truncated":  blob[:len(blob)-3],
-		"trailing":   append(append([]byte(nil), blob...), 0),
-		"huge count": append(append([]byte(nil), blob[:12]...), 0xff, 0xff, 0xff, 0x7f),
-		"odd base":   append(append([]byte(nil), blob[:8]...), append([]byte{1, 0, 4, 0}, blob[12:]...)...),
-	}
-	for name, b := range cases {
-		if _, _, err := DecodePageTable(b); err == nil {
-			t.Errorf("%s: decode succeeded", name)
-		}
-	}
-}
-
-func FuzzPageTableDecode(f *testing.F) {
-	pt := NewPageTable(0x40000, 8)
-	pt.SetFlags(2, PageMapped|PageRead|PagePresent)
-	f.Add(EncodePageTable(pt, make([]uint64, 8)))
-	f.Add([]byte("ASPT"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		pt, gens, err := DecodePageTable(b)
-		if err != nil {
-			return
-		}
-		// Round-trip invariant on anything that decodes.
-		if !bytes.Equal(EncodePageTable(pt, gens), b) {
-			t.Fatalf("decode/encode round trip mismatch")
-		}
-	})
-}

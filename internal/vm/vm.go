@@ -460,6 +460,19 @@ func (m *Memory) check(addr, n uint32, perm uint8) bool {
 	return seg != nil && end <= seg.End && seg.Perms&perm == perm
 }
 
+// writableSpan reports whether [addr, addr+n) is covered by writable
+// segments, walking from each segment to the one that starts at its end.
+func (m *Memory) writableSpan(addr, n uint32) bool {
+	for end := addr + n; addr < end; {
+		seg := m.FindSegment(addr)
+		if seg == nil || seg.Perms&PermWrite == 0 {
+			return false
+		}
+		addr = seg.End
+	}
+	return true
+}
+
 func (m *Memory) inBounds(addr, n uint32) bool {
 	return addr >= m.base && addr+n >= addr && addr+n <= m.Limit()
 }
@@ -543,10 +556,15 @@ func (m *Memory) KernelWrite(addr uint32, b []byte) error {
 }
 
 // UserWrite copies b into memory at addr on behalf of the application
-// (system call results delivered into user buffers). It has kernel
-// privilege like KernelWrite but bumps the store-generation counters, so
-// data the application could have influenced never looks immutable.
+// (system call results delivered into user buffers). Like copy_to_user,
+// it faults unless every byte lies in a writable segment; the span may
+// cross adjacent writable segments. It bumps the store-generation
+// counters, so data the application could have influenced never looks
+// immutable.
 func (m *Memory) UserWrite(addr uint32, b []byte) error {
+	if m.inBounds(addr, uint32(len(b))) && !m.writableSpan(addr, uint32(len(b))) {
+		return &Fault{Addr: addr, Msg: fmt.Sprintf("user write of %d bytes to a non-writable segment", len(b))}
+	}
 	if err := m.KernelWrite(addr, b); err != nil {
 		return err
 	}

@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: formatting, vet,
-# build, the tier-1 test suite, the SMP race gate, short fuzz smokes
-# over the decoders, the kernel syscall, spawn and checkpoint
-# benchmarks, the fault-injection campaign, the cached-overhead
-# regression guard, and the machine-readable summaries
-# (BENCH_kernel.json, BENCH_batch.json, BENCH_fault.json).
+# build, the tier-1 test suite (which also pins every BENCH_*.json
+# artifact and asserts the fast-path, fleet-efficiency and takeover
+# gates), the SMP race gate, short fuzz smokes over the decoders, and
+# the kernel syscall, spawn and checkpoint benchmarks. It writes no
+# file; `make artifacts` rewrites the artifacts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,36 +57,6 @@ go test -run '^$' -fuzz FuzzWALRecordDecode -fuzztime 5s ./internal/durable
 echo "== fuzz smoke (swap-frame decoding) =="
 go test -run '^$' -fuzz FuzzSwapFrameDecode -fuzztime 5s ./internal/ckpt
 
-echo "== fuzz smoke (page-table-record decoding) =="
-go test -run '^$' -fuzz FuzzPageTableDecode -fuzztime 5s ./internal/vm
-
 echo "== kernel syscall, spawn and checkpoint benchmarks =="
 go test -run '^$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn|Checkpoint' \
     -benchtime 2x ./internal/kernel
-
-# -guard 1.6 is the perf regression gate: fail if the cached getpid
-# cost exceeds 1.6x the plain (unverified) cost.
-echo "== BENCH_kernel.json =="
-go run ./cmd/ascbench -table 4 -json BENCH_kernel.json -guard 1.6
-echo "wrote BENCH_kernel.json"
-
-# -netguard 70 is the event-loop scaling gate: the reduced sharded
-# fleet (4 poll-event-loop replicas, 8 LB clients) must reach at least
-# 70% parallel efficiency at 4 workers — replicas serialized behind a
-# shared wait fail loudly here.
-echo "== sharded-fleet efficiency guard =="
-go run ./cmd/ascbench -netguard 70 -table none
-
-# -takeoverguard is the durable-control-plane recovery gate: a director
-# crash mid-migration on a durable 3-node cluster must be survived by
-# the warm standby with every process re-attached or warm-restored and
-# zero cold starts.
-echo "== director takeover recovery guard =="
-go run ./cmd/ascbench -takeoverguard -table none
-
-echo "== BENCH_batch.json =="
-go run ./cmd/ascbench -table batch -json BENCH_batch.json
-echo "wrote BENCH_batch.json"
-
-echo "== fault-injection campaign =="
-go run ./cmd/ascfault -seed 1 -trials 3 -workers 4 -json BENCH_fault.json
