@@ -302,9 +302,6 @@ func (l *Lab) NetPortTamper() (Outcome, error) {
 			if err := p.Mem.KernelWrite(text.Addr+off, encode(nil, in)); err != nil {
 				return err
 			}
-			// The CPU predecodes text at spawn; flush so the patched
-			// instruction actually executes.
-			p.CPU.PrimeICache(text.Addr, text.Addr+uint32(len(text.Data)))
 			return nil
 		}
 		return fmt.Errorf("attack: destination MOVI not found")
@@ -339,7 +336,6 @@ func (l *Lab) NetRouteTamper() (Outcome, error) {
 			if err := p.Mem.KernelWrite(text.Addr+off, encode(nil, in)); err != nil {
 				return err
 			}
-			p.CPU.PrimeICache(text.Addr, text.Addr+uint32(len(text.Data)))
 			return nil
 		}
 		return fmt.Errorf("attack: route-table MOVI not found")

@@ -66,11 +66,9 @@ func TestMemoryFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		touched := pageSet{}
-		base, img, err := auth.Image()
-		if err != nil {
-			t.Fatal(err)
+		for _, s := range auth.Sections { // the loader writes each section's bytes
+			touched.add(s.Addr, uint32(len(s.Data)))
 		}
-		touched.add(base, uint32(len(img)))
 		p.Mem.SetWriteFaulter(touched)
 		for !p.CPU.Halted {
 			touched.stores(t, p.CPU)

@@ -259,34 +259,6 @@ func (f *File) ApplyRelocs() error {
 	return nil
 }
 
-// Image materializes the program image as a single byte slice covering
-// [TextBase, end) plus the extent of .bss, together with the image base
-// address. The caller maps it into simulated memory.
-func (f *File) Image() (base uint32, img []byte, err error) {
-	if len(f.Sections) == 0 {
-		return 0, nil, errors.New("binfmt: no sections")
-	}
-	base = f.Sections[0].Addr
-	end := base
-	for i := range f.Sections {
-		if f.Sections[i].Addr < base {
-			base = f.Sections[i].Addr
-		}
-		if e := f.Sections[i].End(); e > end {
-			end = e
-		}
-	}
-	if end < base || end-base > maxSectionSize*4 {
-		return 0, nil, fmt.Errorf("binfmt: image size %d out of range", end-base)
-	}
-	img = make([]byte, end-base)
-	for i := range f.Sections {
-		s := &f.Sections[i]
-		copy(img[s.Addr-base:], s.Data)
-	}
-	return base, img, nil
-}
-
 // SortRelocs orders relocations by (section, offset) for deterministic
 // output.
 func (f *File) SortRelocs() {

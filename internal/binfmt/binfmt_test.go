@@ -99,26 +99,6 @@ func TestApplyRelocsErrors(t *testing.T) {
 	}
 }
 
-func TestImage(t *testing.T) {
-	f := sampleFile()
-	f.Layout()
-	base, img, err := f.Image()
-	if err != nil {
-		t.Fatalf("Image: %v", err)
-	}
-	if base != TextBase {
-		t.Errorf("base = %#x", base)
-	}
-	dataOff := f.Sections[1].Addr - base
-	if string(img[dataOff:dataOff+5]) != "hello" {
-		t.Errorf("data not copied into image")
-	}
-	wantLen := f.Sections[2].End() - base
-	if uint32(len(img)) != wantLen {
-		t.Errorf("image len %d, want %d (covers bss)", len(img), wantLen)
-	}
-}
-
 func TestLookups(t *testing.T) {
 	f := sampleFile()
 	f.Layout()

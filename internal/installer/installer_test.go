@@ -104,15 +104,11 @@ func (k *miniKernel) Trap(c *vm.CPU, site uint32, authed bool) (uint32, bool, er
 
 func run(t *testing.T, exe *binfmt.File) string {
 	t.Helper()
-	base, img, err := exe.Image()
-	if err != nil {
-		t.Fatalf("Image: %v", err)
-	}
 	mem := vm.NewMemory(binfmt.TextBase, 1<<20)
-	if err := mem.KernelWrite(base, img); err != nil {
-		t.Fatalf("load: %v", err)
-	}
 	for _, s := range exe.Sections {
+		if err := mem.KernelWrite(s.Addr, s.Data); err != nil {
+			t.Fatalf("load %s: %v", s.Name, err)
+		}
 		if s.Size > 0 {
 			mem.Map(vm.Segment{Name: s.Name, Start: s.Addr, End: s.End(), Perms: s.Flags})
 		}

@@ -29,19 +29,20 @@ import (
 // lbMAC} in the .auth section).
 const stateSymbol = "__asc_state"
 
-// progTag returns the checkpoint program tag for an executable, caching
-// by identity (executables are immutable once installed; the cache makes
-// checkpoint cadence under the SMP scheduler allocation-cheap).
-func (k *Kernel) progTag(f *binfmt.File) (mac.Tag, error) {
-	if v, ok := k.progTags.Load(f); ok {
-		return v.(mac.Tag), nil
+// progTag returns the checkpoint program tag of an executable, computed
+// on first use and kept in its record (executables are immutable once
+// installed; keeping it makes checkpoint cadence under the SMP scheduler
+// allocation-cheap).
+func (k *Kernel) progTag(pr *program) (mac.Tag, error) {
+	if t := pr.tag.Load(); t != nil {
+		return *t, nil
 	}
-	b, err := f.Bytes()
+	b, err := pr.file.Bytes()
 	if err != nil {
 		return mac.Tag{}, fmt.Errorf("kernel: serialize program: %w", err)
 	}
 	tag := ckpt.ProgramTag(k.key, b)
-	k.progTags.Store(f, tag)
+	pr.tag.Store(&tag)
 	return tag, nil
 }
 
@@ -56,7 +57,7 @@ func (k *Kernel) Checkpoint(p *Process, epoch uint64) ([]byte, error) {
 	if p.Exited || p.Killed {
 		return nil, fmt.Errorf("%w: process has exited", ckpt.ErrUnsupported)
 	}
-	tag, err := k.progTag(p.file)
+	tag, err := k.progTag(p.prog)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +289,7 @@ func (k *Kernel) Restore(exe *binfmt.File, name string, blob []byte, wantEpoch u
 		return nil, fmt.Errorf("kernel: restore %s: %w: sealed epoch %d, stored under %d",
 			name, ckpt.ErrEpoch, st.Epoch, wantEpoch)
 	}
-	tag, err := k.progTag(exe)
+	tag, err := k.progTag(k.program(exe))
 	if err != nil {
 		return nil, err
 	}
@@ -378,6 +379,7 @@ func (k *Kernel) overlay(p *Process, st *ckpt.State) error {
 	if err := p.Mem.RestoreSegments(segs, gens); err != nil {
 		return statef("%v", err)
 	}
+	p.Mem.AttachText(p.prog.text)
 	if st.Paged {
 		if err := k.restorePaging(p, st); err != nil {
 			return err

@@ -577,7 +577,7 @@ func TestCheckpointRoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := k.Restore(p.file, "bench", blob, 1)
+	r, err := k.Restore(p.prog.file, "bench", blob, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,9 +237,10 @@ type Kernel struct {
 	// hence the sync.Map.
 	patterns sync.Map // mac.Tag -> *pattern.Pattern
 
-	// progTags caches checkpoint program tags by executable identity
-	// (installed executables are immutable; see ckpt.go).
-	progTags sync.Map // *binfmt.File -> mac.Tag
+	// programs holds one record per spawned executable, by identity
+	// (installed executables are immutable): its decoded text, which
+	// every instance shares, and its checkpoint program tag.
+	programs sync.Map // *binfmt.File -> *program
 
 	// shared is the fleet-wide verification cache (CacheShared): one
 	// immutable entry per verified {program tag, site}, adopted by every
@@ -440,7 +441,7 @@ type Process struct {
 	AuditedCount uint64
 
 	kern *Kernel
-	file *binfmt.File
+	prog *program
 
 	fds   []*fdEntry
 	cwd   string
@@ -684,11 +685,6 @@ type sharedEntry struct {
 	rec       policy.AuthRecord
 	predIDs   []uint32
 	pats      []sitePattern
-	// chain is the precomputed CMAC prefix of the site's canonical call
-	// encoding, hoisted out of the verify path: a re-verification of
-	// this site pays only the encoding's final block when the prefix
-	// still matches.
-	chain *mac.ChainState
 }
 
 // procEntry is a process's first-level handle on a verified entry: the
@@ -736,7 +732,7 @@ func (k *Kernel) Spawn(f *binfmt.File, name string) (*Process, error) {
 		sigHandlers: make(map[uint32]uint32),
 		Enforcement: k.enforcement,
 	}
-	if err := p.loadImage(f); err != nil {
+	if err := p.loadImage(k.program(f)); err != nil {
 		return nil, err
 	}
 	// Standard descriptors.
@@ -750,18 +746,48 @@ func (k *Kernel) Spawn(f *binfmt.File, name string) (*Process, error) {
 	return p, nil
 }
 
-// loadImage (re)initializes the process address space from a binary.
-func (p *Process) loadImage(f *binfmt.File) error {
-	base, img, err := f.Image()
-	if err != nil {
-		return fmt.Errorf("kernel: load %s: %w", p.Name, err)
+// program is the kernel's record of one executable: its decoded text and,
+// once a checkpoint or the shared verify cache asks for it, its program
+// tag (see progTag).
+type program struct {
+	file *binfmt.File
+	text *vm.Text
+	tag  atomic.Pointer[mac.Tag]
+}
+
+// newProgram decodes f's text.
+func newProgram(f *binfmt.File) *program {
+	pr := &program{file: f}
+	if t := f.Section(binfmt.SecText); t != nil {
+		pr.text = vm.DecodeText(t.Addr, t.Data)
+	}
+	return pr
+}
+
+// program returns the record of an executable this kernel spawns,
+// decoding it on its first Spawn.
+func (k *Kernel) program(f *binfmt.File) *program {
+	if v, ok := k.programs.Load(f); ok {
+		return v.(*program)
+	}
+	v, _ := k.programs.LoadOrStore(f, newProgram(f))
+	return v.(*program)
+}
+
+// loadImage (re)initializes the process address space from a binary:
+// each section is written where it loads, and the memory fetches from the
+// binary's decoded text while it holds those bytes.
+func (p *Process) loadImage(pr *program) error {
+	f := pr.file
+	if len(f.Sections) == 0 {
+		return fmt.Errorf("kernel: load %s: no sections", p.Name)
 	}
 	mem := vm.NewMemory(binfmt.TextBase, DefaultMemSize)
-	if err := mem.KernelWrite(base, img); err != nil {
-		return fmt.Errorf("kernel: load %s: %w", p.Name, err)
-	}
 	var end uint32 = binfmt.TextBase
 	for _, s := range f.Sections {
+		if s.Addr < mem.Base() || s.End() < s.Addr || s.End() > mem.Limit() || mem.KernelWrite(s.Addr, s.Data) != nil {
+			return fmt.Errorf("kernel: load %s: section %s [%#x,%#x) outside memory", p.Name, s.Name, s.Addr, s.End())
+		}
 		if s.Size == 0 {
 			continue
 		}
@@ -796,10 +822,7 @@ func (p *Process) loadImage(f *binfmt.File) error {
 		// execve: replace the image in place, keeping the cycle counter.
 		cpu.Reset(mem, f.Entry, top)
 	}
-	text := f.Section(binfmt.SecText)
-	if text != nil {
-		cpu.PrimeICache(text.Addr, text.End())
-	}
+	mem.AttachText(pr.text)
 
 	p.CPU = cpu
 	p.Mem = mem
@@ -808,7 +831,7 @@ func (p *Process) loadImage(f *binfmt.File) error {
 	if wf, ok := p.kern.injector.(vm.WriteFaulter); ok {
 		mem.SetWriteFaulter(wf)
 	}
-	p.file = f
+	p.prog = pr
 	p.authenticated = f.Authenticated
 	p.counter = 0
 	p.fdTracker = nil
@@ -982,7 +1005,7 @@ func (k *Kernel) trap(p *Process, site uint32, authed bool) (uint32, bool, error
 	return ret, exit, nil
 }
 
-// sumCycles charges the cycle cost of aes block operations.
+// chargeAES charges the cycle cost of aes block operations.
 func (k *Kernel) chargeAES(p *Process, blocks int) {
 	p.CPU.Cycles += uint64(blocks) * k.Costs.PerAESBlock
 	p.VerifyAESBlocks += uint64(blocks)
@@ -1105,7 +1128,7 @@ func (k *Kernel) verify(p *Process, num uint16, site uint32, sig sys.Sig, sigOK 
 // sharedLookup returns the fleet-shared entry for this process's binary
 // at the given site, if a sibling has published one.
 func (k *Kernel) sharedLookup(p *Process, site uint32) *sharedEntry {
-	tag, err := k.progTag(p.file)
+	tag, err := k.progTag(p.prog)
 	if err != nil {
 		return nil
 	}
@@ -1120,7 +1143,7 @@ func (k *Kernel) sharedLookup(p *Process, site uint32) *sharedEntry {
 // describe the same verified bytes; the first one in wins and is used
 // from then on by everyone.
 func (k *Kernel) sharedPublish(p *Process, site uint32, se *sharedEntry) *sharedEntry {
-	tag, err := k.progTag(p.file)
+	tag, err := k.progTag(p.prog)
 	if err != nil {
 		return se
 	}
@@ -1279,20 +1302,9 @@ func (k *Kernel) verifyMACs(p *Process, num uint16, site, recAddr uint32, fill b
 		spans = append(spans, asSpan(view))
 	}
 
-	// Step 1: call MAC. A site that was verified before carries a
-	// precomputed CMAC prefix over its canonical encoding; SumFrom
-	// resumes from it when the live encoding still begins with the same
-	// bytes and falls back to a full pass otherwise, so only the
-	// encoding's final block(s) are recomputed — and charged — on a
-	// re-verification.
+	// Step 1: call MAC over the canonical encoding.
 	p.scratchEnc = enc.AppendBytes(p.scratchEnc[:0])
-	var chain *mac.ChainState
-	if fill && k.Cache == CacheShared {
-		if se := k.sharedLookup(p, site); se != nil {
-			chain = se.chain
-		}
-	}
-	got, blocks := k.key.SumFrom(chain, p.scratchEnc)
+	got, blocks := k.key.Sum(p.scratchEnc)
 	k.chargeAES(p, blocks)
 	if !got.Equal(rec.CallMAC) {
 		p.keepScratch(enc.Args, strChecks, patChecks, spans)
@@ -1347,8 +1359,7 @@ func (k *Kernel) verifyMACs(p *Process, num uint16, site, recAddr uint32, fill b
 
 // buildSharedEntry assembles the immutable cache entry for a site that
 // just passed Steps 1 and 2, copying the auth record and every
-// MAC-checked span out of process memory and precomputing the CMAC
-// prefix of the canonical encoding. It returns nil when a span's
+// MAC-checked span out of process memory. It returns nil when a span's
 // immutability is not provable (the buffer straddles segments): such a
 // site is not cacheable.
 func (k *Kernel) buildSharedEntry(p *Process, num uint16, recAddr uint32, recBytes []byte, rec policy.AuthRecord, spans []genSpan, predIDs []uint32, pats []sitePattern) *sharedEntry {
@@ -1372,9 +1383,6 @@ func (k *Kernel) buildSharedEntry(p *Process, num uint16, recAddr uint32, recByt
 			regChecks = append(regChecks, regCheck{idx: i, val: p.arg(i)})
 		}
 	}
-	// The prefix schedule reuses the AES work Step 1 just performed; it
-	// is recorded, not recomputed, so no cycles are charged here.
-	chain, _ := k.key.Precompute(p.scratchEnc)
 	return &sharedEntry{
 		num:       num,
 		recAddr:   recAddr,
@@ -1384,7 +1392,6 @@ func (k *Kernel) buildSharedEntry(p *Process, num uint16, recAddr uint32, recByt
 		rec:       rec,
 		predIDs:   append([]uint32(nil), predIDs...),
 		pats:      append([]sitePattern(nil), pats...),
-		chain:     chain,
 	}
 }
 

@@ -685,7 +685,9 @@ func (k *Kernel) sysExecve(p *Process, pathAddr uint32) (uint32, bool) {
 	if err != nil {
 		return errno(sys.EINVAL), false
 	}
-	if err := p.loadImage(f); err != nil {
+	// A binary read from the VFS is a new File on every exec: its text is
+	// decoded for this process only, not kept in the kernel's records.
+	if err := p.loadImage(newProgram(f)); err != nil {
 		return errno(sys.EINVAL), false
 	}
 	p.Name = path

@@ -118,7 +118,6 @@ func dbl(dst, src *[Size]byte) {
 // charges a fixed cost per block operation; see internal/kernel).
 func (k *Keyed) Sum(msg ...[]byte) (Tag, int) {
 	s := k.get()
-	s.x = [Size]byte{}
 	tag, blocks := k.finish(s, msg)
 	k.scratch.Put(s)
 	return tag, blocks
@@ -176,11 +175,12 @@ func (k *Keyed) absorb(s *cmacScratch, msg [][]byte, n int) (blocks, tail int) {
 	return n / Size, tail
 }
 
-// finish is the one CMAC core: from the chaining value in s.x it absorbs
+// finish is the one CMAC core: from a zero chaining value it absorbs
 // every block of msg but the last, then the last block masked with its
 // subkey (K1 when complete, K2 after 10* padding), and returns the tag
 // and the AES block operations performed.
 func (k *Keyed) finish(s *cmacScratch, msg [][]byte) (Tag, int) {
+	s.x = [Size]byte{}
 	total := 0
 	for _, p := range msg {
 		total += len(p)
@@ -217,50 +217,6 @@ func Blocks(n int) int {
 	return (n + Size - 1) / Size
 }
 
-// ChainState is a precomputed CMAC prefix: the CBC chaining value after
-// absorbing every complete block of a message except the final one,
-// together with a copy of the absorbed bytes. The kernel precomputes one
-// per verification site at policy-install time, so steady-state site
-// verification pays only the final block(s) of the call encoding.
-//
-// A ChainState is immutable after Precompute and safe for concurrent use.
-type ChainState struct {
-	x      [Size]byte
-	prefix []byte // the absorbed bytes, len a multiple of Size
-}
-
-// Precompute absorbs every complete block of msg except the final block
-// and returns the chaining state. It also reports the AES block
-// operations performed (charged once, at install time). For messages of
-// one block or less there is nothing to hoist and the state is empty.
-func (k *Keyed) Precompute(msg []byte) (*ChainState, int) {
-	n := chained(len(msg))
-	st := &ChainState{prefix: append([]byte(nil), msg[:n]...)}
-	s := k.get()
-	s.x = [Size]byte{}
-	blocks, _ := k.absorb(s, [][]byte{st.prefix}, n)
-	st.x = s.x
-	k.scratch.Put(s)
-	return st, blocks
-}
-
-// SumFrom computes the CMAC tag of msg, resuming from a precomputed
-// prefix state when the live message still begins with the absorbed
-// bytes. When the prefix no longer matches (or st is nil, or msg is too
-// short to extend it) it falls back to a full Sum — the result is always
-// exactly Sum(msg); only the reported AES block count differs.
-func (k *Keyed) SumFrom(st *ChainState, msg []byte) (Tag, int) {
-	if st == nil || len(msg) <= len(st.prefix) ||
-		subtle.ConstantTimeCompare(msg[:len(st.prefix)], st.prefix) != 1 {
-		return k.Sum(msg)
-	}
-	s := k.get()
-	s.x = st.x
-	tag, blocks := k.finish(s, [][]byte{msg[len(st.prefix):]})
-	k.scratch.Put(s)
-	return tag, blocks
-}
-
 // SumBatch computes the CMAC tag of every message in one pass, appending
 // the tags to dst and returning it along with the total AES block count.
 // Each tag equals Sum of the corresponding message; batching changes how
@@ -271,7 +227,6 @@ func (k *Keyed) SumBatch(msgs [][]byte, dst []Tag) ([]Tag, int) {
 	s := k.get()
 	total := 0
 	for _, msg := range msgs {
-		s.x = [Size]byte{}
 		tag, blocks := k.finish(s, [][]byte{msg})
 		dst = append(dst, tag)
 		total += blocks

@@ -184,7 +184,7 @@ func refSum(k *Keyed, msg []byte) (Tag, int) {
 
 // TestBulkMatchesPerBlock: the bulk CBC pass gives the per-block tag and
 // block count at every length up to past one chunk, and at lengths that
-// span many chunks; Precompute and SumFrom resume it exactly.
+// span many chunks.
 func TestBulkMatchesPerBlock(t *testing.T) {
 	k, err := New(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
 	if err != nil {
@@ -204,14 +204,6 @@ func TestBulkMatchesPerBlock(t *testing.T) {
 		if got != want || blocks != wantBlocks || blocks != Blocks(n) {
 			t.Fatalf("len %d: Sum = %s/%d blocks, per-block %s/%d, Blocks %d",
 				n, got, blocks, want, wantBlocks, Blocks(n))
-		}
-	}
-	for _, n := range []int{4_097, 65_536, 300_000} {
-		st, pre := k.Precompute(msg[:n])
-		got, tail := k.SumFrom(st, msg[:n])
-		want, wantBlocks := refSum(k, msg[:n])
-		if got != want || pre+tail != wantBlocks {
-			t.Fatalf("len %d: Precompute+SumFrom = %s/%d blocks, want %s/%d", n, got, pre+tail, want, wantBlocks)
 		}
 	}
 }
@@ -275,71 +267,6 @@ func TestSumAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("Sum allocates %.1f times per call, want 0", allocs)
 	}
-}
-
-// SumFrom resumed from a matching precomputed prefix must equal Sum, and
-// must charge only the tail blocks.
-func TestSumFromMatchesSum(t *testing.T) {
-	k, err := New(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 64, 100, 257} {
-		msg := make([]byte, n)
-		for i := range msg {
-			msg[i] = byte(i*7 + n)
-		}
-		st, preBlocks := k.Precompute(msg)
-		want, wantBlocks := k.Sum(msg)
-		got, tailBlocks := k.SumFrom(st, msg)
-		if got != want {
-			t.Errorf("len %d: SumFrom tag %s, want %s", n, got, want)
-		}
-		if preBlocks+tailBlocks != wantBlocks {
-			t.Errorf("len %d: precompute %d + tail %d blocks, Sum did %d",
-				n, preBlocks, tailBlocks, wantBlocks)
-		}
-		if n > Size && tailBlocks != 1 {
-			t.Errorf("len %d: tail charged %d blocks, want 1", n, tailBlocks)
-		}
-	}
-}
-
-// A stale prefix (live bytes changed since Precompute) must fall back to
-// a full, correct Sum — never a resumed tag over the wrong bytes.
-func TestSumFromStalePrefix(t *testing.T) {
-	k, err := New(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := make([]byte, 100)
-	for i := range msg {
-		msg[i] = byte(i)
-	}
-	st, _ := k.Precompute(msg)
-	msg[3] ^= 0x40 // mutate inside the absorbed prefix
-	want, wantBlocks := k.Sum(msg)
-	got, blocks := k.SumFrom(st, msg)
-	if got != want {
-		t.Errorf("stale prefix: SumFrom tag %s, want full Sum %s", got, want)
-	}
-	if blocks != wantBlocks {
-		t.Errorf("stale prefix: charged %d blocks, want full %d", blocks, wantBlocks)
-	}
-	// Shrinking the message below the absorbed length must also fall back.
-	short := msg[:10]
-	want, _ = k.Sum(short)
-	if got, _ := k.SumFrom(st, short); got != want {
-		t.Errorf("short message: SumFrom tag %s, want %s", got, want)
-	}
-	if got, _ := k.SumFrom(nil, msg); got != k.mustSum(msg) {
-		t.Errorf("nil state: SumFrom diverged from Sum")
-	}
-}
-
-func (k *Keyed) mustSum(msg []byte) Tag {
-	tag, _ := k.Sum(msg)
-	return tag
 }
 
 // SumBatch must produce exactly the per-message Sum tags and the summed

@@ -54,11 +54,13 @@ func BenchmarkInterpreter(b *testing.B) {
 			mem.Map(Segment{Name: "text", Start: text, End: text + uint32(len(code)), Perms: PermRead | PermExec})
 			mem.Map(Segment{Name: "data", Start: data, End: data + PageSize, Perms: PermRead | PermWrite})
 			mem.Map(Segment{Name: "stack", Start: mem.Limit() - PageSize, End: mem.Limit(), Perms: PermRead | PermWrite})
+			if !mem.AttachText(DecodeText(text, code)) {
+				b.Fatal("text not attached")
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := New(mem, nil)
-				c.PrimeICache(text, text+uint32(len(code)))
 				c.PC = text
 				c.Regs[isa.SP] = mem.Limit()
 				if err := c.Run(10_000_000); err != nil {

@@ -96,6 +96,7 @@ func (t *PageTable) PageAddr(i int) uint32 { return t.base + uint32(i)<<PageShif
 func (m *Memory) SetPaging(t *PageTable, pager PageFaulter) {
 	m.pt = t
 	m.pager = pager
+	m.text = nil
 }
 
 // Paging returns the installed page table (nil without paged mode).

@@ -133,6 +133,68 @@ type Memory struct {
 	// nil every access skips the page table.
 	pt    *PageTable
 	pager PageFaulter
+
+	// text, when set, is the decoded view of the bytes the memory holds
+	// at [text.base, text.end()): fetch reads it instead of decoding.
+	// AttachText sets it; writes into that range drop it.
+	text *Text
+}
+
+// Text is the decoded text of one binary: every instruction word of it,
+// decoded once. A Text is immutable, so every process that runs the
+// binary shares one; a Memory fetches from it only while it holds the
+// exact bytes the Text was decoded from (see AttachText).
+type Text struct {
+	base uint32
+	code []byte      // the words decoded, copied
+	ins  []isa.Instr // ins[i] is the word at base+i*InstrSize, decoded
+	ok   []bool      // whether that word decodes; one that does not faults at fetch
+}
+
+// DecodeText decodes code, text that loads at base.
+func DecodeText(base uint32, code []byte) *Text {
+	n := len(code) / isa.InstrSize
+	t := &Text{base: base, code: bytes.Clone(code[:n*isa.InstrSize]), ins: make([]isa.Instr, n), ok: make([]bool, n)}
+	for i := range t.ins {
+		in, err := isa.Decode(t.code[i*isa.InstrSize:])
+		t.ins[i], t.ok[i] = in, err == nil
+	}
+	return t
+}
+
+func (t *Text) end() uint32 { return t.base + uint32(len(t.code)) }
+
+// AttachText makes fetch read instructions from t, and reports whether it
+// did. It attaches t only if the memory holds exactly t's bytes now,
+// inside one readable and executable segment and outside the paged arena,
+// so a fetch through the view decides as a fetch from memory would. Any
+// write into that range, a segment mapped over it, RestoreSegments and
+// SetPaging drop the view again; fetch then decodes from memory.
+func (m *Memory) AttachText(t *Text) bool {
+	m.text = nil
+	if t == nil || !m.inBounds(t.base, uint32(len(t.code))) || !m.check(t.base, uint32(len(t.code)), PermRead|PermExec) ||
+		m.pt != nil && t.base < m.pt.End() && m.pt.base < t.end() {
+		return false
+	}
+	for a := t.base; a < t.end(); {
+		n := min(t.end()-a, PageSize-a&(PageSize-1))
+		if !bytes.Equal(m.view(a, n), t.code[a-t.base:][:n]) {
+			return false
+		}
+		a += n
+	}
+	m.text = t
+	return true
+}
+
+// Text returns the decoded text attached by AttachText, or nil.
+func (m *Memory) Text() *Text { return m.text }
+
+// dropText drops the decoded view if [addr, end) overlaps its bytes.
+func (m *Memory) dropText(addr, end uint32) {
+	if m.text != nil && addr < m.text.end() && m.text.base < end {
+		m.text = nil
+	}
 }
 
 // page is one page of memory.
@@ -275,6 +337,7 @@ func (m *Memory) read(dst []byte, addr uint32) {
 // write copies b to addr, allocating the pages it lands on; the caller
 // has bounds-checked the span.
 func (m *Memory) write(addr uint32, b []byte) {
+	m.dropText(addr, addr+uint32(len(b)))
 	for len(b) > 0 {
 		n := copy(m.writable(addr>>PageShift, (addr+uint32(len(b))-1)>>PageShift)[addr&(PageSize-1):], b)
 		b, addr = b[n:], addr+uint32(n)
@@ -297,6 +360,7 @@ func (m *Memory) view(addr, n uint32) []byte {
 // cleared. It checks nothing and bumps no store generation; the caller
 // decides whether the application sees the change.
 func (m *Memory) Zero(addr, n uint32) {
+	m.dropText(addr, addr+n)
 	for a, end := uint64(addr), uint64(addr)+uint64(n); a < end; {
 		off := uint32(a & (PageSize - 1))
 		c := min(end-a, uint64(PageSize-off))
@@ -343,8 +407,10 @@ func (m *Memory) NonzeroRuns(start, end uint32, fn func(addr uint32, b []byte)) 
 // segment keeps its store-generation counter: remapping (e.g. brk growing
 // the heap) does not make previously verified bytes look unchanged.
 func (m *Memory) Map(seg Segment) {
+	m.dropText(seg.Start, seg.End)
 	for i := range m.segs {
 		if m.segs[i].Name == seg.Name {
+			m.dropText(m.segs[i].Start, m.segs[i].End)
 			m.segs[i] = seg
 			return
 		}
@@ -433,6 +499,7 @@ func (m *Memory) RestoreSegments(segs []Segment, gens []uint64) error {
 	}
 	m.segs = append(m.segs[:0:0], segs...)
 	m.gens = append(m.gens[:0:0], gens...)
+	m.text = nil
 	return nil
 }
 
@@ -633,11 +700,6 @@ type CPU struct {
 	Halted bool
 
 	handler TrapHandler
-
-	// icache holds predecoded instructions for the static text range.
-	icacheBase uint32
-	icache     []isa.Instr
-	icacheOK   []bool
 }
 
 // New creates a CPU over mem that delivers traps to handler.
@@ -645,38 +707,11 @@ func New(mem *Memory, handler TrapHandler) *CPU {
 	return &CPU{Mem: mem, handler: handler}
 }
 
-// PrimeICache predecodes the instruction stream in [start, end) so that
-// Step avoids re-decoding hot loops. Faulty encodings are left to fault
-// lazily at execution time.
-func (c *CPU) PrimeICache(start, end uint32) {
-	if end <= start {
-		return
-	}
-	n := (end - start) / isa.InstrSize
-	c.icacheBase = start
-	c.icache = make([]isa.Instr, n)
-	c.icacheOK = make([]bool, n)
-	for i := uint32(0); i < n; i++ {
-		addr := start + i*isa.InstrSize
-		b, err := c.Mem.KernelRead(addr, isa.InstrSize)
-		if err != nil {
-			continue
-		}
-		in, err := isa.Decode(b)
-		if err != nil {
-			continue
-		}
-		c.icache[i] = in
-		c.icacheOK[i] = true
-	}
-}
-
 func (c *CPU) fetch() (isa.Instr, error) {
 	pc := c.PC
-	if pc >= c.icacheBase && pc-c.icacheBase < uint32(len(c.icache))*isa.InstrSize && (pc-c.icacheBase)%isa.InstrSize == 0 {
-		idx := (pc - c.icacheBase) / isa.InstrSize
-		if c.icacheOK[idx] {
-			return c.icache[idx], nil
+	if t := c.Mem.text; t != nil && pc >= t.base && pc < t.end() && (pc-t.base)%isa.InstrSize == 0 {
+		if i := (pc - t.base) / isa.InstrSize; t.ok[i] {
+			return t.ins[i], nil
 		}
 	}
 	if !c.Mem.check(pc, isa.InstrSize, PermRead|PermExec) {
@@ -726,6 +761,7 @@ func (c *CPU) store(addr, v uint32, size uint32) error {
 	}
 	c.Mem.gens[idx]++
 	c.Mem.bumpWatch(addr, addr+size)
+	c.Mem.dropText(addr, addr+size)
 	if size == 1 {
 		if !c.Mem.inBounds(addr, 1) {
 			return &Fault{PC: c.PC, Addr: addr, Msg: "write out of bounds"}
@@ -943,9 +979,6 @@ func (c *CPU) Reset(mem *Memory, pc, sp uint32) {
 	c.Regs = [isa.NumRegs]uint32{}
 	c.Regs[isa.SP] = sp
 	c.PC = pc
-	c.icache = nil
-	c.icacheOK = nil
-	c.icacheBase = 0
 }
 
 // Run executes until the CPU halts, faults, or exceeds maxCycles.

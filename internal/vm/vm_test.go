@@ -42,16 +42,12 @@ func loadProgram(t *testing.T, src string) (*CPU, *fakeKernel, *binfmt.File) {
 	if err := f.ApplyRelocs(); err != nil {
 		t.Fatalf("ApplyRelocs: %v", err)
 	}
-	base, img, err := f.Image()
-	if err != nil {
-		t.Fatalf("Image: %v", err)
-	}
 	const memSize = 1 << 20
 	mem := NewMemory(binfmt.TextBase, memSize)
-	if err := mem.KernelWrite(base, img); err != nil {
-		t.Fatalf("load image: %v", err)
-	}
 	for _, s := range f.Sections {
+		if err := mem.KernelWrite(s.Addr, s.Data); err != nil {
+			t.Fatalf("load %s: %v", s.Name, err)
+		}
 		if s.Size == 0 {
 			continue
 		}
@@ -59,10 +55,11 @@ func loadProgram(t *testing.T, src string) (*CPU, *fakeKernel, *binfmt.File) {
 	}
 	stackTop := mem.Limit()
 	mem.Map(Segment{Name: "stack", Start: stackTop - 64*1024, End: stackTop, Perms: PermRead | PermWrite | PermExec})
+	if text := f.Section(binfmt.SecText); !mem.AttachText(DecodeText(text.Addr, text.Data)) {
+		t.Fatal("text not attached")
+	}
 	k := &fakeKernel{}
 	c := New(mem, k)
-	text := f.Section(binfmt.SecText)
-	c.PrimeICache(text.Addr, text.End())
 	c.PC = f.Entry
 	c.Regs[isa.SP] = stackTop
 	return c, k, f

@@ -2,9 +2,9 @@
 # check.sh — the repository's full verification gate: formatting, vet,
 # build, the tier-1 test suite (which also pins every BENCH_*.json
 # artifact and asserts the fast-path, fleet-efficiency and takeover
-# gates), the SMP race gate, short fuzz smokes over the decoders, and
-# the kernel syscall, spawn and checkpoint benchmarks. It writes no
-# file; `make artifacts` rewrites the artifacts.
+# gates), the SMP race gate, short fuzz smokes over the decoders and the
+# decoded-text fetch, and the kernel syscall, spawn and checkpoint
+# benchmarks. It writes no file; `make artifacts` rewrites the artifacts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,6 +56,9 @@ go test -run '^$' -fuzz FuzzWALRecordDecode -fuzztime 5s ./internal/durable
 
 echo "== fuzz smoke (swap-frame decoding) =="
 go test -run '^$' -fuzz FuzzSwapFrameDecode -fuzztime 5s ./internal/ckpt
+
+echo "== fuzz smoke (decoded-text fetch) =="
+go test -run '^$' -fuzz FuzzDecodedFetch -fuzztime 5s ./internal/vm
 
 echo "== kernel syscall, spawn and checkpoint benchmarks =="
 go test -run '^$' -bench 'SyscallPlain|SyscallVerified|VerifyAllocs|Spawn|Checkpoint' \
